@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use fugu_apps::{
     BarrierApp, BarrierParams, EnumApp, EnumParams, LuApp, LuParams, NullApp, SynthApp, SynthParams,
 };
-use fugu_bench::{parallel_map, Json, Table};
+use fugu_bench::{parallel_map, write_output, Json, Table};
 use fugu_sim::explore::{
     generate, shrink, Outcome, RunStatus, ScenarioSpec, ShrinkResult, WorkloadInfo,
 };
@@ -535,9 +535,7 @@ fn main() {
             ("corpus", corpus.to_json()),
             ("failures", Json::array(failure_points)),
         ]);
-        std::fs::write(path, doc.render_pretty())
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
+        write_output(path, &doc.render_pretty());
     }
 
     if !failures.is_empty() {

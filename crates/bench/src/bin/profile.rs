@@ -23,7 +23,9 @@
 use std::path::PathBuf;
 
 use fugu_apps::NullApp;
-use fugu_bench::{machine, multiprogram_costs, pct, write_report, AppKind, Json, Opts, Table};
+use fugu_bench::{
+    machine, multiprogram_costs, pct, write_output, write_report, AppKind, Json, Opts, Table,
+};
 use fugu_sim::span::{ProfileReport, Profiler};
 use fugu_sim::trace::Tracer;
 use fugu_sim::trace_export::chrome_trace;
@@ -156,9 +158,7 @@ fn main() {
         );
     }
     let trace = chrome_trace(spans, opts.nodes);
-    std::fs::write(&trace_path, trace.render())
-        .unwrap_or_else(|e| panic!("writing {}: {e}", trace_path.display()));
-    eprintln!("wrote {}", trace_path.display());
+    write_output(&trace_path, &trace.render());
 
     write_report(&opts, "profile", Json::array(points));
 

@@ -13,7 +13,6 @@
 //! | `fig10`  | Fig. 10: % buffered vs buffered-path cost | `... --bin fig10` |
 //! | `ablate` | design-choice ablations from DESIGN.md §6 | `... --bin ablate` |
 //! | `chaos`  | fault-injection sweep asserting delivery guarantees (docs/ROBUSTNESS.md) | `... --bin chaos` |
-//! | `perf`   | engine wall-clock baseline (no simulated quantity) | `... --bin perf` |
 //! | `profile` | per-message latency spans, percentiles and cycle attribution by delivery case, plus a Perfetto trace (docs/OBSERVABILITY.md) | `... --bin profile` |
 //! | `explore` | coverage-guided deterministic scenario explorer with automatic failure shrinking and `--replay` (docs/TESTING.md); its own flag set | `... --bin explore` |
 //!
@@ -39,7 +38,7 @@
 //! in EXPERIMENTS.md; the JSON schema is documented in
 //! docs/OBSERVABILITY.md.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -201,14 +200,22 @@ where
         .collect()
 }
 
+/// Writes `text` to `path` and notes it on stderr. An unwritable path is
+/// bad input, not a bug: it prints `error: writing <path>: <io error>` to
+/// stderr and exits with status 1.
+pub fn write_output(path: &Path, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("error: writing {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    eprintln!("wrote {}", path.display());
+}
+
 /// Writes the harness's data points to `opts.json` (no-op when the flag
-/// was not given). The document carries [`BENCH_SCHEMA`], the binary name,
-/// and the result-affecting options — deliberately *not* `--jobs` or the
-/// output path, so reports are byte-identical across host parallelism.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written.
+/// was not given) via [`write_output`]. The document carries
+/// [`BENCH_SCHEMA`], the binary name, and the result-affecting options —
+/// deliberately *not* `--jobs` or the output path, so reports are
+/// byte-identical across host parallelism.
 pub fn write_report(opts: &Opts, binary: &str, points: Json) {
     let Some(path) = &opts.json else { return };
     let doc = Json::object([
@@ -220,9 +227,7 @@ pub fn write_report(opts: &Opts, binary: &str, points: Json) {
         ("trials", Json::from(opts.trials)),
         ("points", points),
     ]);
-    std::fs::write(path, doc.render_pretty())
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    eprintln!("wrote {}", path.display());
+    write_output(path, &doc.render_pretty());
 }
 
 /// The five applications of Table 6.

@@ -1,6 +1,7 @@
 //! Command-line contract of the harness binaries: `--jobs` never changes
-//! results, `--json` writes schema-versioned reports, and bad flags fail
-//! with a usage message and exit status 2.
+//! results, `--json` writes schema-versioned reports, bad flags fail
+//! with a usage message and exit status 2, and an unwritable `--json`
+//! path fails with an error line and exit status 1.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -67,4 +68,35 @@ fn help_exits_0() {
     let out = fig7().arg("--help").output().expect("fig7 runs");
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("--json"));
+}
+
+#[test]
+fn unwritable_json_path_exits_1_without_panicking() {
+    // A path below a regular file can never be created.
+    let file = tmp("not-a-dir");
+    std::fs::write(&file, "").expect("temp file");
+    let target = file.join("x.json");
+    for (exe, extra) in [
+        (env!("CARGO_BIN_EXE_table5"), &["--quick"][..]),
+        (env!("CARGO_BIN_EXE_profile"), &["--quick"][..]),
+        (
+            env!("CARGO_BIN_EXE_explore"),
+            &["--quick", "--budget", "1"][..],
+        ),
+    ] {
+        let out = Command::new(exe)
+            .args(extra)
+            .arg("--json")
+            .arg(&target)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: writing {}", file.display())),
+            "{exe}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{exe}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&file);
 }

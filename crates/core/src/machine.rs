@@ -33,7 +33,7 @@ use fugu_sim::coro::{CoEvent, CoId, CoRuntime};
 use fugu_sim::event::{EventId, EventQueue};
 use fugu_sim::fault::{FaultInjector, NetFault};
 use fugu_sim::json::Json;
-use fugu_sim::stats::{Accum, Histogram, MetricsRegistry};
+use fugu_sim::stats::{Accum, Histogram};
 use fugu_sim::trace::{CategoryMask, TraceEvent, Tracer};
 use fugu_sim::Cycles;
 
@@ -237,7 +237,7 @@ pub struct Machine {
     /// Machine-wide message-uid counter; every launch stamps the next one.
     next_uid: u64,
     /// Events popped from the queue by [`Machine::run`]. Wall-clock
-    /// instrumentation only (the perf harness's events/sec denominator);
+    /// instrumentation only (the benchmark's events/sec denominator);
     /// never serialized into run reports.
     events_processed: u64,
 }
@@ -1769,75 +1769,6 @@ impl Machine {
         for n in &mut self.nodes {
             n.report.peak_frames = n.report.peak_frames.max(n.frames.peak_used());
         }
-        let mut metrics = MetricsRegistry::new();
-        metrics.counter("machine.end_time").add(self.queue.now());
-        // Fault totals appear only under an active plan so that fault-free
-        // reports are byte-identical to builds predating fault injection.
-        if self.faults.is_active() {
-            let c = self.faults.counts();
-            metrics.counter("faults.dropped").add(c.dropped);
-            metrics.counter("faults.duplicated").add(c.duplicated);
-            metrics.counter("faults.delayed").add(c.delayed);
-            metrics
-                .counter("faults.second_net_delays")
-                .add(c.second_net_delays);
-            metrics.counter("faults.nic_stalls").add(c.nic_stalls);
-            metrics.counter("faults.frame_fails").add(c.frame_fails);
-            metrics
-                .counter("faults.handler_faults")
-                .add(c.handler_faults);
-        }
-        for j in &self.jobs {
-            let pre = format!("job.{}", j.spec.name);
-            metrics.counter(&format!("{pre}.sent")).add(j.sent);
-            metrics
-                .counter(&format!("{pre}.delivered_fast"))
-                .add(j.fast);
-            metrics
-                .counter(&format!("{pre}.delivered_buffered"))
-                .add(j.buffered);
-            metrics.counter(&format!("{pre}.swapped")).add(j.swapped);
-            metrics
-                .counter(&format!("{pre}.atomicity_timeouts"))
-                .add(j.timeouts);
-            metrics
-                .counter(&format!("{pre}.watchdog_fires"))
-                .add(j.watchdog_fires);
-            metrics
-                .counter(&format!("{pre}.page_faults"))
-                .add(j.page_faults);
-            metrics
-                .counter(&format!("{pre}.overflow_suspensions"))
-                .add(j.suspensions);
-            metrics
-                .accum(&format!("{pre}.handler_cycles"))
-                .merge(&j.handler_cycles);
-            metrics
-                .histogram_with(&format!("{pre}.handler_cycles_hist"), || {
-                    Histogram::exponential(24)
-                })
-                .merge(&j.handler_hist);
-        }
-        for (n, node) in self.nodes.iter().enumerate() {
-            let pre = format!("node{n}");
-            let r = &node.report;
-            metrics
-                .counter(&format!("{pre}.peak_frames"))
-                .add(r.peak_frames);
-            metrics
-                .counter(&format!("{pre}.vbuf_inserts"))
-                .add(r.vbuf_inserts);
-            metrics.counter(&format!("{pre}.vmallocs")).add(r.vmallocs);
-            metrics
-                .counter(&format!("{pre}.quantum_switches"))
-                .add(r.quantum_switches);
-            metrics
-                .counter(&format!("{pre}.overflow_advises"))
-                .add(r.overflow_advises);
-            metrics
-                .counter(&format!("{pre}.overflow_suspends"))
-                .add(r.overflow_suspends);
-        }
         RunReport {
             end_time: self.queue.now(),
             jobs: self
@@ -1851,6 +1782,7 @@ impl Machine {
                     delivered_buffered: j.buffered,
                     swapped: j.swapped,
                     handler_cycles: j.handler_cycles,
+                    handler_hist: j.handler_hist.clone(),
                     atomicity_timeouts: j.timeouts,
                     watchdog_fires: j.watchdog_fires,
                     page_faults: j.page_faults,
@@ -1858,7 +1790,7 @@ impl Machine {
                 })
                 .collect(),
             nodes: self.nodes.iter().map(|n| n.report.clone()).collect(),
-            metrics,
+            faults: self.faults.is_active().then(|| self.faults.counts()),
             events_processed: self.events_processed,
         }
     }

@@ -1,8 +1,11 @@
 //! Run reports: the measurements the paper's tables and figures are built
 //! from.
 
+use std::collections::BTreeMap;
+
+use fugu_sim::fault::FaultCounts;
 use fugu_sim::json::Json;
-use fugu_sim::stats::{Accum, MetricsRegistry};
+use fugu_sim::stats::{Accum, Histogram};
 use fugu_sim::Cycles;
 
 /// Schema identifier stamped into every [`RunReport::to_json`] document.
@@ -17,15 +20,14 @@ pub struct RunReport {
     pub jobs: Vec<JobReport>,
     /// Per-node measurements.
     pub nodes: Vec<NodeReport>,
-    /// The same measurements as a flat named-metric registry
-    /// (`job.<name>.*` and `node<idx>.*` keys), for merging across runs
-    /// and JSON export.
-    pub metrics: MetricsRegistry,
+    /// Fault totals injected during the run; `None` unless the machine ran
+    /// with an active [`FaultPlan`](fugu_sim::fault::FaultPlan).
+    pub faults: Option<FaultCounts>,
     /// Discrete events the engine processed to produce this run — the
-    /// denominator of the perf harness's events/sec figure. Wall-clock
-    /// instrumentation, not a simulated measurement, so it is deliberately
-    /// *excluded* from [`RunReport::to_json`]: result documents must stay
-    /// byte-identical across engine-performance work.
+    /// denominator of the benchmark's events/sec figure (`perfbench/`).
+    /// Wall-clock instrumentation, not a simulated measurement, so it is
+    /// deliberately *excluded* from [`RunReport::to_json`]: result
+    /// documents must stay byte-identical across engine-performance work.
     pub events_processed: u64,
 }
 
@@ -49,8 +51,8 @@ impl RunReport {
     }
 
     /// Serializes the whole report (schema [`RUN_REPORT_SCHEMA`]): header
-    /// fields, a `jobs` array, a `nodes` array and the flat `metrics`
-    /// object.
+    /// fields, a `jobs` array, a `nodes` array and a flat `metrics` object
+    /// derived from the structured fields.
     pub fn to_json(&self) -> Json {
         Json::object([
             ("schema", Json::from(RUN_REPORT_SCHEMA)),
@@ -63,8 +65,75 @@ impl RunReport {
                 "nodes",
                 Json::array(self.nodes.iter().map(NodeReport::to_json)),
             ),
-            ("metrics", self.metrics.to_json()),
+            ("metrics", self.metrics_json()),
         ])
+    }
+
+    /// The report's measurements flattened under dotted names, sorted:
+    /// `faults.*` (only under an active fault plan, so fault-free reports
+    /// match builds predating fault injection), `job.<name>.*`,
+    /// `machine.end_time` and `node<idx>.*`. Counts are plain numbers,
+    /// `handler_cycles` a `{count, sum, mean, min, max}` object and
+    /// `handler_cycles_hist` a [`Histogram::to_json`] object. Job names are
+    /// assumed distinct.
+    fn metrics_json(&self) -> Json {
+        let mut m = BTreeMap::new();
+        m.insert("machine.end_time".into(), Json::from(self.end_time));
+        if let Some(c) = &self.faults {
+            for (name, n) in [
+                ("dropped", c.dropped),
+                ("duplicated", c.duplicated),
+                ("delayed", c.delayed),
+                ("second_net_delays", c.second_net_delays),
+                ("nic_stalls", c.nic_stalls),
+                ("frame_fails", c.frame_fails),
+                ("handler_faults", c.handler_faults),
+            ] {
+                m.insert(format!("faults.{name}"), Json::from(n));
+            }
+        }
+        for j in &self.jobs {
+            for (name, n) in [
+                ("sent", j.sent),
+                ("delivered_fast", j.delivered_fast),
+                ("delivered_buffered", j.delivered_buffered),
+                ("swapped", j.swapped),
+                ("atomicity_timeouts", j.atomicity_timeouts),
+                ("watchdog_fires", j.watchdog_fires),
+                ("page_faults", j.page_faults),
+                ("overflow_suspensions", j.overflow_suspensions),
+            ] {
+                m.insert(format!("job.{}.{name}", j.name), Json::from(n));
+            }
+            let a = &j.handler_cycles;
+            m.insert(
+                format!("job.{}.handler_cycles", j.name),
+                Json::object([
+                    ("count", Json::from(a.count())),
+                    ("sum", Json::Float(a.sum())),
+                    ("mean", Json::Float(a.mean())),
+                    ("min", a.min().into()),
+                    ("max", a.max().into()),
+                ]),
+            );
+            m.insert(
+                format!("job.{}.handler_cycles_hist", j.name),
+                j.handler_hist.to_json(),
+            );
+        }
+        for (n, r) in self.nodes.iter().enumerate() {
+            for (name, v) in [
+                ("peak_frames", r.peak_frames),
+                ("vbuf_inserts", r.vbuf_inserts),
+                ("vmallocs", r.vmallocs),
+                ("quantum_switches", r.quantum_switches),
+                ("overflow_advises", r.overflow_advises),
+                ("overflow_suspends", r.overflow_suspends),
+            ] {
+                m.insert(format!("node{n}.{name}"), Json::from(v));
+            }
+        }
+        Json::object(m)
     }
 }
 
@@ -90,6 +159,8 @@ pub struct JobReport {
     /// Handler execution cycles (dispatch to completion, including
     /// delivery overhead), for the paper's `T_hand`.
     pub handler_cycles: Accum,
+    /// The same handler execution cycles as a power-of-two histogram.
+    pub handler_hist: Histogram,
     /// Atomicity-timeout revocations suffered by the job.
     pub atomicity_timeouts: u64,
     /// Interrupts forced through by the polling watchdog (only nonzero

@@ -1,10 +1,11 @@
 //! Observability contract of the simulated machine: identical
 //! configurations produce identical trace streams, subscribers see the
-//! same events the recorder does, and the metrics registry in the run
-//! report agrees with the per-job counters.
+//! same events the recorder does, and the flat metrics in the run-report
+//! JSON agree with the report's structured fields.
 
 use std::sync::{Arc, Mutex};
 
+use fugu_sim::fault::FaultPlan;
 use fugu_sim::json::Json;
 use fugu_sim::span::{DeliveryPath, Profiler};
 use fugu_sim::trace::{CategoryMask, TraceEvent, TraceRecord, Tracer};
@@ -44,10 +45,15 @@ impl Program for Idler {
 /// A machine busy enough to exercise both delivery cases: chatter against
 /// an idle background job on a skewed schedule.
 fn busy_machine(tracer: Tracer) -> Machine {
+    busy_machine_with_faults(tracer, FaultPlan::default())
+}
+
+fn busy_machine_with_faults(tracer: Tracer, faults: FaultPlan) -> Machine {
     let mut m = Machine::new(MachineConfig {
         nodes: 4,
         skew: 0.05,
         seed: 7,
+        faults,
         ..Default::default()
     });
     m.set_tracer(tracer);
@@ -138,11 +144,29 @@ fn subscriber_sees_the_same_events_as_the_recorder() {
     assert_eq!(*seen.lock().unwrap(), recorded);
 }
 
+/// The `metrics` object of the report's JSON, parsed back.
+fn parsed_metrics(report: &RunReport) -> Vec<(String, Json)> {
+    let doc = Json::parse(&report.to_json().render()).expect("report JSON parses");
+    match doc.get("metrics") {
+        Some(Json::Obj(entries)) => entries.clone(),
+        other => panic!("report metrics is not an object: {other:?}"),
+    }
+}
+
 #[test]
-fn metrics_registry_mirrors_job_reports() {
-    let tracer = Tracer::disabled();
-    let m = busy_machine(tracer);
-    let report = m.run();
+fn report_json_metrics_mirror_structured_fields() {
+    let report = busy_machine(Tracer::disabled()).run();
+    let metrics = parsed_metrics(&report);
+    let get = |name: &str| {
+        metrics
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("metric {name} missing from the report JSON"))
+    };
+
+    let mut expected = vec!["machine.end_time".to_string()];
+    assert_eq!(get("machine.end_time"), &Json::UInt(report.end_time));
     for j in &report.jobs {
         for (suffix, value) in [
             ("sent", j.sent),
@@ -150,20 +174,110 @@ fn metrics_registry_mirrors_job_reports() {
             ("delivered_buffered", j.delivered_buffered),
             ("swapped", j.swapped),
             ("atomicity_timeouts", j.atomicity_timeouts),
+            ("watchdog_fires", j.watchdog_fires),
             ("page_faults", j.page_faults),
+            ("overflow_suspensions", j.overflow_suspensions),
         ] {
             let name = format!("job.{}.{suffix}", j.name);
-            assert_eq!(
-                report.metrics.counter_value(&name),
-                Some(value),
-                "metric {name} disagrees with the job report"
-            );
+            assert_eq!(get(&name), &Json::UInt(value), "metric {name}");
+            expected.push(name);
+        }
+        let name = format!("job.{}.handler_cycles", j.name);
+        let accum = get(&name);
+        assert_eq!(
+            accum.get("count"),
+            Some(&Json::UInt(j.handler_cycles.count()))
+        );
+        expected.push(name);
+        let name = format!("job.{}.handler_cycles_hist", j.name);
+        let hist = get(&name);
+        assert_eq!(hist.get("total"), Some(&Json::UInt(j.handler_hist.total())));
+        assert_eq!(j.handler_hist.total(), j.handler_cycles.count());
+        assert_eq!(
+            hist.get("buckets"),
+            Some(&Json::array(
+                j.handler_hist.buckets().iter().map(|&c| Json::UInt(c))
+            ))
+        );
+        expected.push(name);
+    }
+    for (n, node) in report.nodes.iter().enumerate() {
+        for (suffix, value) in [
+            ("peak_frames", node.peak_frames),
+            ("vbuf_inserts", node.vbuf_inserts),
+            ("vmallocs", node.vmallocs),
+            ("quantum_switches", node.quantum_switches),
+            ("overflow_advises", node.overflow_advises),
+            ("overflow_suspends", node.overflow_suspends),
+        ] {
+            let name = format!("node{n}.{suffix}");
+            assert_eq!(get(&name), &Json::UInt(value), "metric {name}");
+            expected.push(name);
         }
     }
+
+    // Exactly these keys, sorted by name; a fault-free run has no
+    // `faults.*` entry.
+    expected.sort();
+    let keys: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, expected);
+    assert!(report.faults.is_none());
+}
+
+#[test]
+fn fault_active_report_json_carries_the_injector_counts() {
+    let plan = FaultPlan::parse("drop=0.02,dup=0.02,delay=0.05,stall=0.02,handler-fault=0.05")
+        .expect("valid plan");
+    let tracer = Tracer::recorder(usize::MAX, CategoryMask::FAULT);
+    let report = busy_machine_with_faults(tracer.clone(), plan).run();
+    let records = tracer.take_records();
+    let counts = report.faults.expect("an active plan reports fault totals");
+
+    // The injector's counters agree with the fault events it caused.
+    let count =
+        |f: &dyn Fn(&TraceEvent) -> bool| records.iter().filter(|r| f(&r.event)).count() as u64;
     assert_eq!(
-        report.metrics.counter_value("machine.end_time"),
-        Some(report.end_time)
+        count(&|e| matches!(e, TraceEvent::FaultDrop { .. })),
+        counts.dropped
     );
+    assert_eq!(
+        count(&|e| matches!(e, TraceEvent::FaultDuplicate { .. })),
+        counts.duplicated
+    );
+    assert_eq!(
+        count(&|e| matches!(e, TraceEvent::FaultDelay { .. })),
+        counts.delayed
+    );
+    assert_eq!(
+        count(&|e| matches!(e, TraceEvent::FaultNicStall { .. })),
+        counts.nic_stalls
+    );
+    assert_eq!(
+        count(&|e| matches!(e, TraceEvent::FaultHandlerFault { .. })),
+        counts.handler_faults
+    );
+    assert!(counts.dropped > 0 && counts.duplicated > 0 && counts.delayed > 0);
+    assert!(counts.handler_faults > 0);
+
+    // Every `faults.*` key is present and equal to the injector's totals.
+    let metrics = parsed_metrics(&report);
+    let faults: Vec<(&str, &Json)> = metrics
+        .iter()
+        .filter_map(|(k, v)| k.strip_prefix("faults.").map(|k| (k, v)))
+        .collect();
+    let want = [
+        ("delayed", counts.delayed),
+        ("dropped", counts.dropped),
+        ("duplicated", counts.duplicated),
+        ("frame_fails", counts.frame_fails),
+        ("handler_faults", counts.handler_faults),
+        ("nic_stalls", counts.nic_stalls),
+        ("second_net_delays", counts.second_net_delays),
+    ];
+    assert_eq!(faults.len(), want.len(), "faults.* keys: {faults:?}");
+    for ((key, value), (name, n)) in faults.iter().zip(want) {
+        assert_eq!((*key, *value), (name, &Json::UInt(n)));
+    }
 }
 
 #[test]

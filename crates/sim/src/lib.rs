@@ -15,8 +15,8 @@
 //!   not depend on external crate versions;
 //! * [`fault`] — a seeded, deterministic fault-injection plan consulted by
 //!   the machine layers, zero-cost when inert;
-//! * [`stats`] — counters, accumulators, histograms and the named
-//!   [`stats::MetricsRegistry`] used by the experiment harnesses;
+//! * [`stats`] — counters, accumulators, histograms and high-water marks
+//!   used by the machine's run reports and the experiment harnesses;
 //! * [`trace`] — typed [`trace::TraceEvent`]s with a ring-buffer recorder
 //!   and subscriber callbacks, zero-cost when disabled;
 //! * [`span`] — a message-lifecycle profiler that stitches trace events

@@ -5,7 +5,6 @@
 //! pages used for buffering). [`Counter`], [`Accum`] and [`Histogram`] cover
 //! those needs without pulling in an external statistics crate.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::json::Json;
@@ -264,8 +263,7 @@ impl Histogram {
     }
 
     /// Serializes the histogram as a `{bounds, buckets, total}` object —
-    /// the shape embedded in run-report metrics (see
-    /// [`MetricValue::to_json`]).
+    /// the shape embedded in run-report metrics.
     pub fn to_json(&self) -> Json {
         Json::object([
             (
@@ -354,204 +352,6 @@ impl HighWater {
     /// Highest level ever set.
     pub fn peak(&self) -> u64 {
         self.peak
-    }
-}
-
-/// A named metric held by a [`MetricsRegistry`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// A monotonically increasing count.
-    Counter(Counter),
-    /// A running sum/min/max/mean over float samples.
-    Accum(Accum),
-    /// A bucketed distribution over integer samples.
-    Histogram(Histogram),
-}
-
-impl MetricValue {
-    fn kind(&self) -> &'static str {
-        match self {
-            MetricValue::Counter(_) => "counter",
-            MetricValue::Accum(_) => "accum",
-            MetricValue::Histogram(_) => "histogram",
-        }
-    }
-
-    /// Serializes the metric: counters as plain numbers, accumulators as
-    /// `{count, sum, mean, min, max}` objects, histograms as
-    /// `{bounds, buckets, total}` objects.
-    pub fn to_json(&self) -> Json {
-        match self {
-            MetricValue::Counter(c) => Json::UInt(c.get()),
-            MetricValue::Accum(a) => Json::object([
-                ("count", Json::UInt(a.count())),
-                ("sum", Json::Float(a.sum())),
-                ("mean", Json::Float(a.mean())),
-                ("min", a.min().into()),
-                ("max", a.max().into()),
-            ]),
-            MetricValue::Histogram(h) => h.to_json(),
-        }
-    }
-}
-
-/// A sorted collection of named metrics with JSON serialization.
-///
-/// Names are free-form but the harnesses use dotted paths
-/// (`job.barnes.sent`, `node3.peak_frames`) so related metrics group
-/// together in sorted output. Accessors create the metric on first use and
-/// panic if a name is reused with a different metric kind.
-///
-/// # Example
-///
-/// ```
-/// use fugu_sim::stats::MetricsRegistry;
-///
-/// let mut m = MetricsRegistry::new();
-/// m.counter("job.synth.sent").add(4);
-/// m.accum("job.synth.t_hand").push(62.0);
-/// assert_eq!(m.counter_value("job.synth.sent"), Some(4));
-/// assert_eq!(
-///     m.to_json().render(),
-///     r#"{"job.synth.sent":4,"job.synth.t_hand":{"count":1,"sum":62,"mean":62,"min":62,"max":62}}"#
-/// );
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MetricsRegistry {
-    entries: BTreeMap<String, MetricValue>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    fn slot(&mut self, name: &str, default: MetricValue) -> &mut MetricValue {
-        let want = default.kind();
-        let entry = self
-            .entries
-            .entry(name.to_string())
-            .or_insert_with(|| default);
-        assert!(
-            entry.kind() == want,
-            "metric {name:?} is a {}, requested as a {want}",
-            entry.kind()
-        );
-        entry
-    }
-
-    /// The counter named `name`, created at zero on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` already holds a non-counter metric.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        match self.slot(name, MetricValue::Counter(Counter::new())) {
-            MetricValue::Counter(c) => c,
-            _ => unreachable!(),
-        }
-    }
-
-    /// The accumulator named `name`, created empty on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` already holds a non-accumulator metric.
-    pub fn accum(&mut self, name: &str) -> &mut Accum {
-        match self.slot(name, MetricValue::Accum(Accum::new())) {
-            MetricValue::Accum(a) => a,
-            _ => unreachable!(),
-        }
-    }
-
-    /// The histogram named `name`, created by `make` on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` already holds a non-histogram metric.
-    pub fn histogram_with(
-        &mut self,
-        name: &str,
-        make: impl FnOnce() -> Histogram,
-    ) -> &mut Histogram {
-        let want = "histogram";
-        let entry = self
-            .entries
-            .entry(name.to_string())
-            .or_insert_with(|| MetricValue::Histogram(make()));
-        assert!(
-            entry.kind() == want,
-            "metric {name:?} is a {}, requested as a {want}",
-            entry.kind()
-        );
-        match entry {
-            MetricValue::Histogram(h) => h,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Looks up a metric without creating it.
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
-        self.entries.get(name)
-    }
-
-    /// Convenience: the value of a counter, if `name` holds one.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match self.entries.get(name) {
-            Some(MetricValue::Counter(c)) => Some(c.get()),
-            _ => None,
-        }
-    }
-
-    /// Number of metrics registered.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no metric has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates metrics in sorted name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Merges another registry into this one: counters add, accumulators
-    /// and histograms merge, names unique to `other` are copied over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shared name holds different metric kinds, or histograms
-    /// with different bounds.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in &other.entries {
-            match self.entries.entry(name.clone()) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(value.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    match (slot.get_mut(), value) {
-                        (MetricValue::Counter(a), MetricValue::Counter(b)) => a.add(b.get()),
-                        (MetricValue::Accum(a), MetricValue::Accum(b)) => a.merge(b),
-                        (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-                        (a, b) => panic!(
-                            "metric {name:?} kind mismatch on merge: {} vs {}",
-                            a.kind(),
-                            b.kind()
-                        ),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Serializes the registry as one JSON object keyed by metric name, in
-    /// sorted (deterministic) order.
-    pub fn to_json(&self) -> Json {
-        Json::object(self.entries.iter().map(|(k, v)| (k.clone(), v.to_json())))
     }
 }
 
@@ -730,49 +530,6 @@ mod tests {
     #[should_panic(expected = "different bounds")]
     fn histogram_merge_rejects_mismatched_bounds() {
         Histogram::new(&[1]).merge(&Histogram::new(&[2]));
-    }
-
-    #[test]
-    fn registry_creates_and_reuses_metrics() {
-        let mut m = MetricsRegistry::new();
-        m.counter("a").inc();
-        m.counter("a").add(2);
-        m.accum("b").push(1.5);
-        m.histogram_with("c", || Histogram::exponential(2))
-            .record(3);
-        assert_eq!(m.counter_value("a"), Some(3));
-        assert_eq!(m.counter_value("b"), None);
-        assert_eq!(m.len(), 3);
-        let names: Vec<&str> = m.iter().map(|(k, _)| k).collect();
-        assert_eq!(names, ["a", "b", "c"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "requested as a")]
-    fn registry_rejects_kind_mismatch() {
-        let mut m = MetricsRegistry::new();
-        m.counter("x");
-        m.accum("x");
-    }
-
-    #[test]
-    fn registry_merge_combines() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.counter("n").add(1);
-        b.counter("n").add(2);
-        b.accum("t").push(4.0);
-        a.merge(&b);
-        assert_eq!(a.counter_value("n"), Some(3));
-        assert!(a.get("t").is_some());
-    }
-
-    #[test]
-    fn registry_json_is_sorted_and_stable() {
-        let mut m = MetricsRegistry::new();
-        m.counter("z.last").add(9);
-        m.counter("a.first").inc();
-        assert_eq!(m.to_json().render(), r#"{"a.first":1,"z.last":9}"#);
     }
 
     #[test]

@@ -719,16 +719,14 @@ impl Tracer {
         })
     }
 
-    /// Builds a tracer from the `FUGU_TRACE*` environment variables.
+    /// Builds a tracer from the `FUGU_TRACE` environment variable.
     ///
     /// `FUGU_TRACE` takes a comma-separated category list (see
-    /// [`CategoryMask::parse`]); the seed repository's `FUGU_TRACE_ARRIVE`,
-    /// `FUGU_TRACE_INSERT` and `FUGU_TRACE_MODE` variables remain supported
-    /// as aliases for `msg`, `buffer` and `mode`. When any category is
-    /// selected, a stderr line-printer subscriber is installed for it;
-    /// otherwise the tracer starts disabled. Category names that match
-    /// nothing draw a one-time stderr warning (misspelling `buffer` as
-    /// `buffers` should not silently trace nothing).
+    /// [`CategoryMask::parse`]). When any category is selected, a stderr
+    /// line-printer subscriber is installed for it; otherwise the tracer
+    /// starts disabled. Category names that match nothing draw a one-time
+    /// stderr warning (misspelling `buffer` as `buffers` should not
+    /// silently trace nothing).
     pub fn from_env() -> Tracer {
         let mut mask = CategoryMask::NONE;
         if let Ok(names) = std::env::var("FUGU_TRACE") {
@@ -745,15 +743,6 @@ impl Tracer {
                         unknown.join(", ")
                     );
                 });
-            }
-        }
-        for (var, cat) in [
-            ("FUGU_TRACE_ARRIVE", CategoryMask::MSG),
-            ("FUGU_TRACE_INSERT", CategoryMask::BUFFER),
-            ("FUGU_TRACE_MODE", CategoryMask::MODE),
-        ] {
-            if std::env::var_os(var).is_some() {
-                mask = mask | cat;
             }
         }
         let tracer = Tracer::disabled();

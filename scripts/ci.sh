@@ -17,15 +17,16 @@ cargo test --offline -q -p fugu-apps --test crl_chaos_props
 # Chaos smoke: sweep fault injection over every app and assert the
 # delivery guarantees (exits nonzero on any violation).
 cargo run --offline --release -p fugu-bench --bin chaos -- --quick --jobs 4
-# Differential property test: the slab event queue vs the retained legacy
-# implementation (same pop order / now / cancel semantics). Covered by the
+# Differential property test: the slab event queue vs an ordered-map
+# reference model (same pop order / now / cancel semantics). Covered by the
 # workspace run; re-run by name for a standalone failure line.
 cargo test --offline -q -p fugu-sim --test event_differential
-# Perf-harness smoke: a small workload must complete and the binary itself
-# re-reads and parses the JSON it wrote (exits nonzero otherwise).
+# Benchmark smoke: perfbench (its own cargo workspace) builds against the
+# crates as they are now, and its tests check every checksum-asserted
+# layer probe and the results-row oracles.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-cargo run --offline --release -p fugu-bench --bin perf -- --quick --json "$tmpdir/perf.json" >/dev/null
 # Profiler determinism gate: run the span profiler twice on the same seed
 # and demand byte-identical JSON and Perfetto outputs. The binary itself
 # asserts 100% stitch rate, exact attribution sums, and that both
