@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use fugu_apps::{
     BarrierApp, BarrierParams, EnumApp, EnumParams, LuApp, LuParams, NullApp, SynthApp, SynthParams,
 };
-use fugu_bench::{parallel_map, write_output, Json, Table};
+use fugu_bench::{parallel_map, stop_on_broken_pipe, write_output, Json, Table};
 use fugu_sim::explore::{
     generate, shrink, Outcome, RunStatus, ScenarioSpec, ShrinkResult, WorkloadInfo,
 };
@@ -366,6 +366,7 @@ fn replay_main(spec_text: &str) -> i32 {
 }
 
 fn main() {
+    stop_on_broken_pipe();
     let opts = match parse_opts(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) if e == "help" => {

@@ -139,8 +139,10 @@ impl Opts {
     }
 
     /// Parses argv. On `--help` prints usage and exits 0; on any parse
-    /// error prints the error plus usage to stderr and exits 2.
+    /// error prints the error plus usage to stderr and exits 2. Also calls
+    /// [`stop_on_broken_pipe`].
     pub fn parse(default_nodes: usize) -> Opts {
+        stop_on_broken_pipe();
         match Opts::try_parse(default_nodes, std::env::args().skip(1)) {
             Ok(opts) => opts,
             Err(e) if e == "help" => {
@@ -154,6 +156,22 @@ impl Opts {
             }
         }
     }
+}
+
+/// Makes a write to a closed stdout (`fig7 | head -1`) end the process
+/// quietly, as it does for `cat` or `grep`, instead of panicking in
+/// `println!`. Rust ignores `SIGPIPE` by default; this restores the
+/// default action. Every harness binary calls it before printing.
+pub fn stop_on_broken_pipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: installing the default disposition runs no handler code and
+    // touches no memory; nothing in this program relies on `SIGPIPE` being
+    // ignored.
+    unsafe { signal(SIGPIPE, SIG_DFL) };
 }
 
 /// Applies `f` to every item, fanning out over `jobs` host threads

@@ -1,7 +1,9 @@
 //! Command-line contract of the harness binaries: `--jobs` never changes
 //! results, `--json` writes schema-versioned reports, bad flags fail
 //! with a usage message and exit status 2, and an unwritable `--json`
-//! path fails with an error line and exit status 1.
+//! path fails with an error line and exit status 1, `explore --replay`
+//! exits 0/1/2 for a clean, failing and malformed spec, and a closed
+//! stdout stops every binary without a panic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -99,4 +101,61 @@ fn unwritable_json_path_exits_1_without_panicking() {
         assert!(!stderr.contains("panicked"), "{exe}: {stderr}");
     }
     let _ = std::fs::remove_file(&file);
+}
+
+#[test]
+fn explore_replay_exit_codes() {
+    for (spec, code) in [
+        ("workload=enum:frames=8", 0),
+        // Three nodes break barrier's power-of-two precondition: a
+        // sim-thread panic the replay classifies.
+        ("workload=barrier:nodes=3", 1),
+        ("garbage", 2),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_explore"))
+            .args(["--replay", spec])
+            .output()
+            .expect("explore runs");
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "--replay {spec}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn closed_stdout_stops_every_binary_quietly() {
+    let bins = [
+        env!("CARGO_BIN_EXE_table4"),
+        env!("CARGO_BIN_EXE_table5"),
+        env!("CARGO_BIN_EXE_table6"),
+        env!("CARGO_BIN_EXE_fig7"),
+        env!("CARGO_BIN_EXE_fig8"),
+        env!("CARGO_BIN_EXE_fig9"),
+        env!("CARGO_BIN_EXE_fig10"),
+        env!("CARGO_BIN_EXE_ablate"),
+        env!("CARGO_BIN_EXE_chaos"),
+        env!("CARGO_BIN_EXE_profile"),
+        env!("CARGO_BIN_EXE_explore"),
+    ];
+    let runs = bins
+        .iter()
+        .map(|exe| (*exe, &["--help"][..]))
+        .chain([(env!("CARGO_BIN_EXE_table4"), &[][..])]);
+    for (exe, args) in runs {
+        // A pipe whose read end is closed before the child starts, as
+        // after `| head -1` has read its line: every write fails.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(exe)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{exe} {args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{exe} {args:?}: {stderr}");
+    }
 }

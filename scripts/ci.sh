@@ -55,11 +55,15 @@ cmp "$tmpdir/explore_a.json" "$tmpdir/explore_b.json" \
 cmp results/explore_corpus.json "$tmpdir/explore_a.json" \
   || { echo "ci: results/explore_corpus.json drifted from regenerated output" >&2; exit 1; }
 # Behavioral-drift gate: engine/perf work must never change simulated
-# results. Regenerate table6 (covers all five apps, runs in seconds) with
-# the committed flags and demand byte-identical output.
-cargo run --offline --release -p fugu-bench --bin table6 -- --jobs 4 --json "$tmpdir/table6.json" >/dev/null
-cmp results/table6.json "$tmpdir/table6.json" \
-  || { echo "ci: results/table6.json drifted from regenerated output" >&2; exit 1; }
+# results. Regenerate every committed results/*.json with its committed
+# flags (each binary's defaults) and demand byte-identical output. Progress
+# lines go to a log that is shown only if the binary fails.
+for bin in table4 table5 table6 fig7 fig8 fig9 fig10 ablate; do
+  cargo run --offline --release -p fugu-bench --bin "$bin" -- --jobs 4 --json "$tmpdir/$bin.json" \
+    >/dev/null 2>"$tmpdir/$bin.log" || { cat "$tmpdir/$bin.log" >&2; exit 1; }
+  cmp "results/$bin.json" "$tmpdir/$bin.json" \
+    || { echo "ci: results/$bin.json drifted from regenerated output" >&2; exit 1; }
+done
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "ci: all checks passed"
