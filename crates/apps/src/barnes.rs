@@ -17,7 +17,7 @@
 // 3-component vector math reads best with explicit dimension indices.
 #![allow(clippy::needless_range_loop)]
 
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use fugu_crl::Crl;
 use fugu_sim::rng::DetRng;
@@ -269,7 +269,7 @@ pub struct BarnesApp {
     params: BarnesParams,
     crl: Crl,
     barrier: MsgBarrier,
-    checksum: Mutex<Option<u64>>,
+    checksum: std::cell::Cell<Option<u64>>,
 }
 
 impl BarnesApp {
@@ -287,24 +287,24 @@ impl BarnesApp {
             params,
             crl: Crl::new(nodes),
             barrier: MsgBarrier::new(nodes),
-            checksum: Mutex::new(None),
+            checksum: std::cell::Cell::new(None),
         }
     }
 
     /// Job spec named "barnes".
-    pub fn spec(nodes: usize, params: BarnesParams) -> Arc<BarnesApp> {
-        Arc::new(BarnesApp::new(nodes, params))
+    pub fn spec(nodes: usize, params: BarnesParams) -> Rc<BarnesApp> {
+        Rc::new(BarnesApp::new(nodes, params))
     }
 
-    /// Wraps an `Arc`'d app into a job spec.
-    pub fn job(app: &Arc<BarnesApp>) -> JobSpec {
-        JobSpec::new("barnes", Arc::clone(app) as Arc<dyn Program>)
+    /// Wraps an `Rc`'d app into a job spec.
+    pub fn job(app: &Rc<BarnesApp>) -> JobSpec {
+        JobSpec::new("barnes", Rc::clone(app) as Rc<dyn Program>)
     }
 
     /// Bitwise checksum of final body positions (node 0), identical across
     /// node counts for the same parameters.
     pub fn checksum(&self) -> Option<u64> {
-        *self.checksum.lock().unwrap()
+        self.checksum.get()
     }
 
     /// CRL request retries fired by the timeout protocol (chaos runs).
@@ -415,7 +415,7 @@ impl Program for BarnesApp {
                 }
                 self.crl.end_read(ctx, r as u32);
             }
-            *self.checksum.lock().unwrap() = Some(sum);
+            self.checksum.set(Some(sum));
         }
         self.barrier.wait(ctx);
     }

@@ -7,7 +7,8 @@
 //! barrier — 24 per barrier machine-wide, matching the paper's 240,177
 //! messages for 10,000 barriers.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use udm::{Cycles, Envelope, JobSpec, Program, UserCtx};
 
@@ -51,7 +52,7 @@ struct NodeState {
 /// The dissemination-barrier program.
 pub struct BarrierApp {
     params: BarrierParams,
-    nodes: Vec<Mutex<NodeState>>,
+    nodes: Vec<RefCell<NodeState>>,
     rounds: usize,
 }
 
@@ -71,7 +72,7 @@ impl BarrierApp {
             params,
             nodes: (0..nodes)
                 .map(|_| {
-                    Mutex::new(NodeState {
+                    RefCell::new(NodeState {
                         arrived: vec![0; rounds.max(1)],
                         sent: vec![0; rounds.max(1)],
                     })
@@ -83,7 +84,7 @@ impl BarrierApp {
 
     /// Job spec named "barrier".
     pub fn spec(nodes: usize, params: BarrierParams) -> JobSpec {
-        JobSpec::new("barrier", Arc::new(BarrierApp::new(nodes, params)))
+        JobSpec::new("barrier", Rc::new(BarrierApp::new(nodes, params)))
     }
 
     fn wait_key(round: usize) -> u32 {
@@ -109,7 +110,7 @@ impl Program for BarrierApp {
                 let peer = (me + (1 << k)) % p;
                 let token = [k as u32 | ((b + 1) << 6)];
                 {
-                    let mut st = self.nodes[me].lock().unwrap();
+                    let mut st = self.nodes[me].borrow_mut();
                     st.sent[k] = st.sent[k].max((b + 1) as u64);
                 }
                 ctx.send(peer, H_TOKEN, &token);
@@ -118,7 +119,7 @@ impl Program for BarrierApp {
                 let mut timeout = RETRY_TIMEOUT;
                 loop {
                     {
-                        let st = self.nodes[me].lock().unwrap();
+                        let st = self.nodes[me].borrow();
                         if st.arrived[k] > b as u64 {
                             break;
                         }
@@ -150,7 +151,7 @@ impl Program for BarrierApp {
         if announced == 0 {
             // Re-send request from our round-`round` successor (fault
             // injection only): repeat our highest announcement, if any.
-            let sent = self.nodes[me].lock().unwrap().sent[round];
+            let sent = self.nodes[me].borrow().sent[round];
             if sent > 0 {
                 let succ = (me + (1 << round)) % ctx.nodes();
                 ctx.send(succ, H_TOKEN, &[round as u32 | ((sent as u32) << 6)]);
@@ -158,7 +159,7 @@ impl Program for BarrierApp {
             return;
         }
         {
-            let mut st = self.nodes[me].lock().unwrap();
+            let mut st = self.nodes[me].borrow_mut();
             st.arrived[round] = st.arrived[round].max(announced);
         }
         ctx.wake(Self::wait_key(round));

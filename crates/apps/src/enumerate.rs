@@ -16,8 +16,9 @@
 //! two-round-stable count of sent vs. processed work messages — the only
 //! synchronization in the program, and an infrequent one.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use udm::{Envelope, JobSpec, Program, UserCtx};
 
@@ -150,8 +151,8 @@ pub struct EnumApp {
     params: EnumParams,
     moves: Vec<(u32, u32, u32)>,
     holes: u32,
-    nodes: Vec<Mutex<NodeState>>,
-    result: Mutex<Option<u64>>,
+    nodes: Vec<RefCell<NodeState>>,
+    result: Cell<Option<u64>>,
 }
 
 impl EnumApp {
@@ -166,30 +167,30 @@ impl EnumApp {
             holes,
             nodes: (0..nodes)
                 .map(|_| {
-                    Mutex::new(NodeState {
+                    RefCell::new(NodeState {
                         reports: vec![None; nodes],
                         soln_from: vec![false; nodes],
                         ..NodeState::default()
                     })
                 })
                 .collect(),
-            result: Mutex::new(None),
+            result: Cell::new(None),
         }
     }
 
     /// Job spec named "enum".
-    pub fn spec(nodes: usize, params: EnumParams) -> Arc<EnumApp> {
-        Arc::new(EnumApp::new(nodes, params))
+    pub fn spec(nodes: usize, params: EnumParams) -> Rc<EnumApp> {
+        Rc::new(EnumApp::new(nodes, params))
     }
 
-    /// Wraps an `Arc`'d app into a job spec.
-    pub fn job(app: &Arc<EnumApp>) -> JobSpec {
-        JobSpec::new("enum", Arc::clone(app) as Arc<dyn Program>)
+    /// Wraps an `Rc`'d app into a job spec.
+    pub fn job(app: &Rc<EnumApp>) -> JobSpec {
+        JobSpec::new("enum", Rc::clone(app) as Rc<dyn Program>)
     }
 
     /// The total number of solutions, available after the run completes.
     pub fn solutions(&self) -> Option<u64> {
-        *self.result.lock().unwrap()
+        self.result.get()
     }
 
     /// Sequential reference enumeration (host-side), for validation.
@@ -223,13 +224,13 @@ impl EnumApp {
         let p = ctx.nodes();
         ctx.compute(self.params.expand_cost);
         if board.count_ones() == 1 {
-            self.nodes[me].lock().unwrap().solutions += 1;
+            self.nodes[me].borrow_mut().solutions += 1;
             return;
         }
         let depth = self.holes - 1 - board.count_ones(); // pegs removed so far
         let mut outgoing: Vec<(usize, u32)> = Vec::new();
         {
-            let mut st = self.nodes[me].lock().unwrap();
+            let mut st = self.nodes[me].borrow_mut();
             for &(from, over, to) in &self.moves {
                 if board & (1 << from) != 0 && board & (1 << over) != 0 && board & (1 << to) == 0 {
                     let child = board & !(1 << from) & !(1 << over) | (1 << to);
@@ -256,7 +257,7 @@ impl EnumApp {
     fn coordinator_round(&self, ctx: &mut UserCtx<'_>) -> bool {
         let p = ctx.nodes();
         let gen = {
-            let mut st = self.nodes[0].lock().unwrap();
+            let mut st = self.nodes[0].borrow_mut();
             st.report_gen += 1;
             st.reports = vec![None; p];
             // Self-report.
@@ -271,7 +272,7 @@ impl EnumApp {
         let mut spins = 0u32;
         loop {
             {
-                let st = self.nodes[0].lock().unwrap();
+                let st = self.nodes[0].borrow();
                 if st.reports.iter().all(Option::is_some) {
                     break;
                 }
@@ -287,7 +288,7 @@ impl EnumApp {
             }
             ctx.compute(1_000);
         }
-        let mut st = self.nodes[0].lock().unwrap();
+        let mut st = self.nodes[0].borrow_mut();
         let mut sent = 0u32;
         let mut processed = 0u32;
         let mut all_idle = true;
@@ -331,14 +332,13 @@ impl Program for EnumApp {
         let p = ctx.nodes();
         if me == 0 {
             self.nodes[0]
-                .lock()
-                .unwrap()
+                .borrow_mut()
                 .queue
                 .push_back(self.initial_board());
         }
         loop {
             let work = {
-                let mut st = self.nodes[me].lock().unwrap();
+                let mut st = self.nodes[me].borrow_mut();
                 if st.stopped {
                     break;
                 }
@@ -349,12 +349,12 @@ impl Program for EnumApp {
             match work {
                 Some(board) => {
                     self.expand(ctx, board);
-                    let mut st = self.nodes[me].lock().unwrap();
+                    let mut st = self.nodes[me].borrow_mut();
                     st.expanding = false;
                 }
                 None => {
                     let may_steal = {
-                        let mut st = self.nodes[me].lock().unwrap();
+                        let mut st = self.nodes[me].borrow_mut();
                         if st.stopped {
                             break;
                         }
@@ -393,7 +393,7 @@ impl Program for EnumApp {
                         // have been dropped; wake periodically and allow a
                         // fresh steal attempt.
                         if !ctx.block_timeout(WAIT_WORK, RETRY_TIMEOUT) {
-                            self.nodes[me].lock().unwrap().steal_out = false;
+                            self.nodes[me].borrow_mut().steal_out = false;
                         }
                     } else {
                         ctx.block(WAIT_WORK);
@@ -403,12 +403,12 @@ impl Program for EnumApp {
         }
         // Solution aggregation: the infrequent synchronization.
         if me == 0 {
-            let mine = self.nodes[0].lock().unwrap().solutions;
+            let mine = self.nodes[0].borrow().solutions;
             let mut timeout = RETRY_TIMEOUT;
             loop {
-                let mut st = self.nodes[0].lock().unwrap();
+                let mut st = self.nodes[0].borrow_mut();
                 if st.soln_in == p - 1 {
-                    *self.result.lock().unwrap() = Some(st.soln_total + mine);
+                    self.result.set(Some(st.soln_total + mine));
                     st.soln_in = 0;
                     break;
                 }
@@ -418,7 +418,7 @@ impl Program for EnumApp {
                     // been dropped. Nudge the laggards again on timeout.
                     if !ctx.block_timeout(WAIT_WORK, timeout) {
                         let missing: Vec<usize> = {
-                            let st = self.nodes[0].lock().unwrap();
+                            let st = self.nodes[0].borrow();
                             (1..p).filter(|&n| !st.soln_from[n]).collect()
                         };
                         for n in missing {
@@ -431,7 +431,7 @@ impl Program for EnumApp {
                 }
             }
         } else {
-            let mine = self.nodes[me].lock().unwrap().solutions;
+            let mine = self.nodes[me].borrow().solutions;
             let report = [(mine >> 32) as u32, mine as u32];
             ctx.send(0, H_SOLN, &report);
             if ctx.faults_active() {
@@ -439,7 +439,7 @@ impl Program for EnumApp {
                 // acknowledges it (it dedups by source).
                 let mut timeout = RETRY_TIMEOUT;
                 loop {
-                    if self.nodes[me].lock().unwrap().soln_acked {
+                    if self.nodes[me].borrow().soln_acked {
                         break;
                     }
                     if !ctx.block_timeout(WAIT_DONE, timeout) {
@@ -456,7 +456,7 @@ impl Program for EnumApp {
         match env.handler.0 {
             H_WORK => {
                 {
-                    let mut st = self.nodes[me].lock().unwrap();
+                    let mut st = self.nodes[me].borrow_mut();
                     st.processed += 1;
                     st.steal_out = false;
                     st.queue.push_back(env.payload[0]);
@@ -467,13 +467,13 @@ impl Program for EnumApp {
             H_PROBE => {
                 let gen = env.payload[0];
                 let (sent, processed, idle) = {
-                    let st = self.nodes[me].lock().unwrap();
+                    let st = self.nodes[me].borrow();
                     (st.sent, st.processed, st.queue.is_empty() && !st.expanding)
                 };
                 ctx.send(0, H_REPORT, &[gen, sent, processed, idle as u32, me as u32]);
             }
             H_REPORT => {
-                let mut st = self.nodes[0].lock().unwrap();
+                let mut st = self.nodes[0].borrow_mut();
                 if env.payload[0] == st.report_gen {
                     let from = env.payload[4] as usize;
                     st.reports[from] = Some((env.payload[1], env.payload[2], env.payload[3] != 0));
@@ -481,7 +481,7 @@ impl Program for EnumApp {
             }
             H_STOP => {
                 {
-                    let mut st = self.nodes[me].lock().unwrap();
+                    let mut st = self.nodes[me].borrow_mut();
                     st.stopped = true;
                 }
                 ctx.wake(WAIT_WORK);
@@ -490,7 +490,7 @@ impl Program for EnumApp {
                 let thief = env.payload[0] as usize;
                 let mut grants = Vec::new();
                 {
-                    let mut st = self.nodes[me].lock().unwrap();
+                    let mut st = self.nodes[me].borrow_mut();
                     for _ in 0..self.params.steal_batch {
                         // Leave the victim at least one board; take from
                         // the front (shallowest = largest subtrees).
@@ -511,14 +511,14 @@ impl Program for EnumApp {
             }
             H_NOWORK => {
                 {
-                    let mut st = self.nodes[me].lock().unwrap();
+                    let mut st = self.nodes[me].borrow_mut();
                     st.steal_out = false;
                 }
                 ctx.wake(WAIT_WORK);
             }
             H_SOLN => {
                 let fresh = {
-                    let mut st = self.nodes[0].lock().unwrap();
+                    let mut st = self.nodes[0].borrow_mut();
                     if st.soln_from[env.src] {
                         false // re-sent report, already folded in
                     } else {
@@ -537,7 +537,7 @@ impl Program for EnumApp {
             }
             H_SOLN_ACK => {
                 {
-                    let mut st = self.nodes[me].lock().unwrap();
+                    let mut st = self.nodes[me].borrow_mut();
                     st.soln_acked = true;
                 }
                 ctx.wake(WAIT_DONE);

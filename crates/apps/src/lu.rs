@@ -11,7 +11,8 @@
 //! diagonally dominant); phases are separated by message barriers exactly
 //! as the SPLASH original separates them with its barriers.
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use fugu_crl::Crl;
 use udm::{Envelope, JobSpec, Program, UserCtx};
@@ -47,7 +48,7 @@ pub struct LuApp {
     grid: usize,
     crl: Crl,
     barrier: MsgBarrier,
-    residual: Mutex<Option<f32>>,
+    residual: Cell<Option<f32>>,
 }
 
 impl LuApp {
@@ -64,23 +65,23 @@ impl LuApp {
             grid,
             crl: Crl::new(nodes),
             barrier: MsgBarrier::new(nodes),
-            residual: Mutex::new(None),
+            residual: Cell::new(None),
         }
     }
 
     /// Job spec named "lu".
-    pub fn spec(nodes: usize, params: LuParams) -> Arc<LuApp> {
-        Arc::new(LuApp::new(nodes, params))
+    pub fn spec(nodes: usize, params: LuParams) -> Rc<LuApp> {
+        Rc::new(LuApp::new(nodes, params))
     }
 
-    /// Wraps an `Arc`'d app into a job spec.
-    pub fn job(app: &Arc<LuApp>) -> JobSpec {
-        JobSpec::new("lu", Arc::clone(app) as Arc<dyn Program>)
+    /// Wraps an `Rc`'d app into a job spec.
+    pub fn job(app: &Rc<LuApp>) -> JobSpec {
+        JobSpec::new("lu", Rc::clone(app) as Rc<dyn Program>)
     }
 
     /// Post-run factorization residual (node 0 computes it).
     pub fn residual(&self) -> Option<f32> {
-        *self.residual.lock().unwrap()
+        self.residual.get()
     }
 
     /// CRL request retries fired by the timeout protocol (chaos runs).
@@ -298,7 +299,7 @@ impl Program for LuApp {
                     max_a = max_a.max(a.abs());
                 }
             }
-            *self.residual.lock().unwrap() = Some(max_err / max_a);
+            self.residual.set(Some(max_err / max_a));
         }
         self.barrier.wait(ctx);
     }

@@ -3,7 +3,7 @@
 //! copies of a real application because the experiment is more easily
 //! controlled."
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use udm::{JobSpec, Program, UserCtx};
 
@@ -22,6 +22,6 @@ impl Program for NullApp {
 impl NullApp {
     /// A background job spec named "null".
     pub fn spec() -> JobSpec {
-        JobSpec::new("null", Arc::new(NullApp)).background()
+        JobSpec::new("null", Rc::new(NullApp)).background()
     }
 }

@@ -3,7 +3,7 @@
 //! applications synchronize between computation phases exactly as their
 //! SPLASH originals do).
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use udm::{Cycles, Envelope, UserCtx};
 
@@ -32,7 +32,7 @@ struct NodeState {
 /// `wait` may only be called from main threads, one episode at a time per
 /// node; tokens may arrive arbitrarily early (counts are cumulative).
 pub struct MsgBarrier {
-    nodes: Vec<Mutex<NodeState>>,
+    nodes: Vec<RefCell<NodeState>>,
     rounds: usize,
 }
 
@@ -51,7 +51,7 @@ impl MsgBarrier {
         MsgBarrier {
             nodes: (0..nodes)
                 .map(|_| {
-                    Mutex::new(NodeState {
+                    RefCell::new(NodeState {
                         arrived: vec![0; rounds.max(1)],
                         sent: vec![0; rounds.max(1)],
                         episodes: 0,
@@ -71,7 +71,7 @@ impl MsgBarrier {
         let me = ctx.node();
         let p = ctx.nodes();
         let episode = {
-            let mut st = self.nodes[me].lock().unwrap();
+            let mut st = self.nodes[me].borrow_mut();
             let e = st.episodes;
             st.episodes += 1;
             e
@@ -83,14 +83,14 @@ impl MsgBarrier {
             let peer = (me + (1 << k)) % p;
             let token = [k as u32 | (((episode + 1) as u32) << 6)];
             {
-                let mut st = self.nodes[me].lock().unwrap();
+                let mut st = self.nodes[me].borrow_mut();
                 st.sent[k] = st.sent[k].max(episode + 1);
             }
             ctx.send(peer, H_BARRIER, &token);
             let mut timeout = RETRY_TIMEOUT;
             loop {
                 {
-                    let st = self.nodes[me].lock().unwrap();
+                    let st = self.nodes[me].borrow();
                     if st.arrived[k] > episode {
                         break;
                     }
@@ -125,7 +125,7 @@ impl MsgBarrier {
         if announced == 0 {
             // Re-send request from our round-`round` successor (fault
             // injection only): repeat our highest announcement, if any.
-            let sent = self.nodes[me].lock().unwrap().sent[round];
+            let sent = self.nodes[me].borrow().sent[round];
             if sent > 0 {
                 let succ = (me + (1 << round)) % ctx.nodes();
                 ctx.send(succ, H_BARRIER, &[round as u32 | ((sent as u32) << 6)]);
@@ -133,7 +133,7 @@ impl MsgBarrier {
             return true;
         }
         {
-            let mut st = self.nodes[me].lock().unwrap();
+            let mut st = self.nodes[me].borrow_mut();
             st.arrived[round] = st.arrived[round].max(announced);
         }
         ctx.wake(Self::key(round));

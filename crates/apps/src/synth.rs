@@ -10,7 +10,8 @@
 //! between individual message sends is a uniformly distributed random
 //! variable with an average of `T_betw` cycles."
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use udm::{Cycles, Envelope, JobSpec, Program, UserCtx};
 
@@ -53,7 +54,7 @@ struct NodeState {
 /// The synth-N program.
 pub struct SynthApp {
     params: SynthParams,
-    nodes: Vec<Mutex<NodeState>>,
+    nodes: Vec<RefCell<NodeState>>,
 }
 
 impl SynthApp {
@@ -63,14 +64,14 @@ impl SynthApp {
         SynthApp {
             params,
             nodes: (0..nodes)
-                .map(|_| Mutex::new(NodeState { replies: 0 }))
+                .map(|_| RefCell::new(NodeState { replies: 0 }))
                 .collect(),
         }
     }
 
     /// Job spec named "synth".
     pub fn spec(nodes: usize, params: SynthParams) -> JobSpec {
-        JobSpec::new("synth", Arc::new(SynthApp::new(nodes, params)))
+        JobSpec::new("synth", Rc::new(SynthApp::new(nodes, params)))
     }
 }
 
@@ -100,7 +101,7 @@ impl Program for SynthApp {
             // Synchronization point: wait for the whole group's replies.
             loop {
                 {
-                    let st = self.nodes[me].lock().unwrap();
+                    let st = self.nodes[me].borrow();
                     if st.replies >= expected {
                         break;
                     }
@@ -120,7 +121,7 @@ impl Program for SynthApp {
             }
             H_REPLY => {
                 {
-                    let mut st = self.nodes[ctx.node()].lock().unwrap();
+                    let mut st = self.nodes[ctx.node()].borrow_mut();
                     st.replies += 1;
                 }
                 ctx.wake(WAIT_REPLIES);

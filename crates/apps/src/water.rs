@@ -11,7 +11,8 @@
 // 3-component vector math reads best with explicit dimension indices.
 #![allow(clippy::needless_range_loop)]
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use fugu_crl::Crl;
 use fugu_sim::rng::DetRng;
@@ -67,7 +68,7 @@ pub struct WaterApp {
     params: WaterParams,
     crl: Crl,
     barrier: MsgBarrier,
-    checksum: Mutex<Option<u64>>,
+    checksum: Cell<Option<u64>>,
 }
 
 impl WaterApp {
@@ -85,23 +86,23 @@ impl WaterApp {
             params,
             crl: Crl::new(nodes),
             barrier: MsgBarrier::new(nodes),
-            checksum: Mutex::new(None),
+            checksum: Cell::new(None),
         }
     }
 
     /// Job spec named "water".
-    pub fn spec(nodes: usize, params: WaterParams) -> Arc<WaterApp> {
-        Arc::new(WaterApp::new(nodes, params))
+    pub fn spec(nodes: usize, params: WaterParams) -> Rc<WaterApp> {
+        Rc::new(WaterApp::new(nodes, params))
     }
 
-    /// Wraps an `Arc`'d app into a job spec.
-    pub fn job(app: &Arc<WaterApp>) -> JobSpec {
-        JobSpec::new("water", Arc::clone(app) as Arc<dyn Program>)
+    /// Wraps an `Rc`'d app into a job spec.
+    pub fn job(app: &Rc<WaterApp>) -> JobSpec {
+        JobSpec::new("water", Rc::clone(app) as Rc<dyn Program>)
     }
 
     /// Bitwise checksum of final positions.
     pub fn checksum(&self) -> Option<u64> {
-        *self.checksum.lock().unwrap()
+        self.checksum.get()
     }
 
     /// CRL request retries fired by the timeout protocol (chaos runs).
@@ -229,7 +230,7 @@ impl Program for WaterApp {
                 }
                 self.crl.end_read(ctx, r as u32);
             }
-            *self.checksum.lock().unwrap() = Some(sum);
+            self.checksum.set(Some(sum));
         }
         self.barrier.wait(ctx);
     }

@@ -3,7 +3,8 @@
 //! operations stay idempotent — every write is applied exactly once — and
 //! runs are deterministic per seed.
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use fugu_apps::sync::MsgBarrier;
 use fugu_crl::Crl;
@@ -20,22 +21,22 @@ struct IncApp {
     barrier: MsgBarrier,
     regions: u32,
     writes: usize,
-    total: Mutex<Option<u64>>,
+    total: Cell<Option<u64>>,
 }
 
 impl IncApp {
-    fn spec(nodes: usize, regions: u32, writes: usize) -> Arc<IncApp> {
-        Arc::new(IncApp {
+    fn spec(nodes: usize, regions: u32, writes: usize) -> Rc<IncApp> {
+        Rc::new(IncApp {
             crl: Crl::new(nodes),
             barrier: MsgBarrier::new(nodes),
             regions,
             writes,
-            total: Mutex::new(None),
+            total: Cell::new(None),
         })
     }
 
-    fn job(app: &Arc<IncApp>) -> JobSpec {
-        JobSpec::new("inc", Arc::clone(app) as Arc<dyn Program>)
+    fn job(app: &Rc<IncApp>) -> JobSpec {
+        JobSpec::new("inc", Rc::clone(app) as Rc<dyn Program>)
     }
 }
 
@@ -61,7 +62,7 @@ impl Program for IncApp {
                 sum += self.crl.snapshot(ctx, r)[0] as u64;
                 self.crl.end_read(ctx, r);
             }
-            *self.total.lock().unwrap() = Some(sum);
+            self.total.set(Some(sum));
         }
         self.barrier.wait(ctx);
         let _ = p;
@@ -95,7 +96,7 @@ fn run_once(
     });
     m.add_job(IncApp::job(&app));
     let r = m.run();
-    let total = app.total.lock().unwrap().expect("run did not finish");
+    let total = app.total.get().expect("run did not finish");
     (total, r.end_time, app.crl.retries())
 }
 

@@ -139,8 +139,7 @@ fn main() {
         });
         m.add_job(JobSpec::new(
             "sluggish",
-            std::sync::Arc::new(SluggishPoller::new(if opts.quick { 50 } else { 400 }))
-                as std::sync::Arc<dyn udm::Program>,
+            std::rc::Rc::new(SluggishPoller::new(if opts.quick { 50 } else { 400 })),
         ));
         let r = m.run();
         let j = r.job("sluggish");
@@ -190,14 +189,14 @@ fn main() {
 /// policy (forced watchdog interrupts consume messages outside `poll`).
 struct SluggishPoller {
     count: u32,
-    received: std::sync::Mutex<u32>,
+    received: std::cell::Cell<u32>,
 }
 
 impl SluggishPoller {
     fn new(count: u32) -> Self {
         SluggishPoller {
             count,
-            received: std::sync::Mutex::new(0),
+            received: std::cell::Cell::new(0),
         }
     }
 }
@@ -211,7 +210,7 @@ impl udm::Program for SluggishPoller {
             }
         } else {
             ctx.begin_atomic();
-            while *self.received.lock().unwrap() < self.count {
+            while self.received.get() < self.count {
                 ctx.compute(20_000); // sluggish
                 while ctx.poll() {}
             }
@@ -219,7 +218,7 @@ impl udm::Program for SluggishPoller {
         }
     }
     fn handler(&self, _ctx: &mut udm::UserCtx<'_>, _env: &udm::Envelope) {
-        *self.received.lock().unwrap() += 1;
+        self.received.set(self.received.get() + 1);
     }
 }
 

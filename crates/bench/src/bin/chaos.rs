@@ -19,7 +19,7 @@
 //! The run is deterministic: the same `--seed` produces byte-identical
 //! output (and `--json` report) on every invocation.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use fugu_apps::{
     BarnesApp, BarnesParams, BarrierApp, BarrierParams, EnumApp, EnumParams, LuApp, LuParams,
@@ -51,13 +51,13 @@ fn plan(rate: f64) -> FaultPlan {
     }
 }
 
-/// Keeps the app `Arc` alive so results can be validated after the run.
+/// Keeps the app `Rc` alive so results can be validated after the run.
 enum Handle {
-    Barnes(Arc<BarnesApp>),
-    Water(Arc<WaterApp>),
-    Lu(Arc<LuApp>),
+    Barnes(Rc<BarnesApp>),
+    Water(Rc<WaterApp>),
+    Lu(Rc<LuApp>),
     Barrier,
-    Enum(Arc<EnumApp>),
+    Enum(Rc<EnumApp>),
 }
 
 impl Handle {
@@ -91,7 +91,7 @@ impl Handle {
 }
 
 /// Builds one application job with the same data sets the other harnesses
-/// use (`AppKind::job` sizes), keeping the `Arc` for validation.
+/// use (`AppKind::job` sizes), keeping the `Rc` for validation.
 fn build(app: &str, nodes: usize, quick: bool) -> (JobSpec, Handle) {
     match app {
         "barnes" => {

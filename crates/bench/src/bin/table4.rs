@@ -8,7 +8,8 @@
 //! step (the totals must equal the paper's 54/87/115 interrupt and 9
 //! polling cycles by construction — see EXPERIMENTS.md).
 
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use fugu_bench::{write_report, Json, Opts, Table};
 use udm::{CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
@@ -17,8 +18,8 @@ use udm::{CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx
 /// interrupts. Send costs are measured on node 0 with `now()`.
 struct InterruptProbe {
     count: u32,
-    send_cycles: Mutex<Vec<u64>>,
-    received: Mutex<u32>,
+    send_cycles: RefCell<Vec<u64>>,
+    received: Cell<u32>,
 }
 
 impl Program for InterruptProbe {
@@ -28,17 +29,17 @@ impl Program for InterruptProbe {
                 let t0 = ctx.now();
                 ctx.send(1, 0, &[]);
                 let t1 = ctx.now();
-                self.send_cycles.lock().unwrap().push(t1 - t0);
+                self.send_cycles.borrow_mut().push(t1 - t0);
                 ctx.compute(2_000);
             }
         } else {
-            while *self.received.lock().unwrap() < self.count {
+            while self.received.get() < self.count {
                 ctx.compute(1_000);
             }
         }
     }
     fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {
-        *self.received.lock().unwrap() += 1;
+        self.received.set(self.received.get() + 1);
     }
 }
 
@@ -46,7 +47,7 @@ impl Program for InterruptProbe {
 /// measures the cost of each successful poll.
 struct PollProbe {
     count: u32,
-    poll_cycles: Mutex<Vec<u64>>,
+    poll_cycles: RefCell<Vec<u64>>,
 }
 
 impl Program for PollProbe {
@@ -63,7 +64,7 @@ impl Program for PollProbe {
                 let t0 = ctx.now();
                 if ctx.poll() {
                     let t1 = ctx.now();
-                    self.poll_cycles.lock().unwrap().push(t1 - t0);
+                    self.poll_cycles.borrow_mut().push(t1 - t0);
                     got += 1;
                 } else {
                     ctx.compute(50);
@@ -130,10 +131,10 @@ fn main() {
     let mut int_measured = Vec::new();
     let mut poll_measured = Vec::new();
     for costs in models {
-        let probe = Arc::new(InterruptProbe {
+        let probe = Rc::new(InterruptProbe {
             count,
-            send_cycles: Mutex::new(Vec::new()),
-            received: Mutex::new(0),
+            send_cycles: RefCell::new(Vec::new()),
+            received: Cell::new(0),
         });
         let mut m = Machine::new(MachineConfig {
             nodes: 2,
@@ -141,17 +142,14 @@ fn main() {
             seed: opts.seed,
             ..Default::default()
         });
-        m.add_job(JobSpec::new(
-            "probe",
-            Arc::clone(&probe) as Arc<dyn Program>,
-        ));
+        m.add_job(JobSpec::new("probe", Rc::clone(&probe) as Rc<dyn Program>));
         let r = m.run();
-        send_measured.push(mean(&probe.send_cycles.lock().unwrap()));
+        send_measured.push(mean(&probe.send_cycles.borrow()));
         int_measured.push(r.job("probe").handler_cycles.mean());
 
-        let poll = Arc::new(PollProbe {
+        let poll = Rc::new(PollProbe {
             count,
-            poll_cycles: Mutex::new(Vec::new()),
+            poll_cycles: RefCell::new(Vec::new()),
         });
         let mut m = Machine::new(MachineConfig {
             nodes: 2,
@@ -159,9 +157,9 @@ fn main() {
             seed: opts.seed,
             ..Default::default()
         });
-        m.add_job(JobSpec::new("poll", Arc::clone(&poll) as Arc<dyn Program>));
+        m.add_job(JobSpec::new("poll", Rc::clone(&poll) as Rc<dyn Program>));
         m.run();
-        poll_measured.push(mean(&poll.poll_cycles.lock().unwrap()));
+        poll_measured.push(mean(&poll.poll_cycles.borrow()));
     }
     t.row(vec![
         "send total (measured)".into(),

@@ -7,7 +7,8 @@
 //! reports the cost-model constants alongside measured per-message
 //! buffered handler costs and demand-allocation (vmalloc) counts.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use fugu_bench::{write_report, Json, Opts, Table};
 use udm::{CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
@@ -15,7 +16,7 @@ use udm::{CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx
 struct BufferedProbe {
     count: u32,
     payload_words: usize,
-    drain_cycles: Mutex<Vec<u64>>,
+    drain_cycles: RefCell<Vec<u64>>,
 }
 
 impl Program for BufferedProbe {
@@ -36,7 +37,7 @@ impl Program for BufferedProbe {
                 let t0 = ctx.now();
                 if ctx.poll() {
                     let t1 = ctx.now();
-                    self.drain_cycles.lock().unwrap().push(t1 - t0);
+                    self.drain_cycles.borrow_mut().push(t1 - t0);
                     got += 1;
                 } else {
                     ctx.compute(50);
@@ -68,10 +69,10 @@ fn main() {
         "(charged on page allocation)".into(),
     ]);
 
-    let probe = Arc::new(BufferedProbe {
+    let probe = Rc::new(BufferedProbe {
         count,
         payload_words: 0,
-        drain_cycles: Mutex::new(Vec::new()),
+        drain_cycles: RefCell::new(Vec::new()),
     });
     let mut m = Machine::new(MachineConfig {
         nodes: 2,
@@ -79,13 +80,10 @@ fn main() {
         seed: opts.seed,
         ..Default::default()
     });
-    m.add_job(JobSpec::new(
-        "probe",
-        Arc::clone(&probe) as Arc<dyn Program>,
-    ));
+    m.add_job(JobSpec::new("probe", Rc::clone(&probe) as Rc<dyn Program>));
     let r = m.run();
     let j = r.job("probe");
-    let drain = probe.drain_cycles.lock().unwrap();
+    let drain = probe.drain_cycles.borrow();
     // The measured poll includes the 3-cycle poll check on top of the
     // 52-cycle buffered extraction.
     let poll_check = costs.poll_check as f64;

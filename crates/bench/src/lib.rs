@@ -40,14 +40,13 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use fugu_apps::{
     BarnesApp, BarnesParams, BarrierApp, BarrierParams, EnumApp, EnumParams, LuApp, LuParams,
     NullApp, SynthApp, SynthParams, WaterApp, WaterParams,
 };
 pub use fugu_sim::json::Json;
-use udm::{CostModel, Cycles, JobSpec, Machine, MachineConfig, Program, RunReport};
+use udm::{CostModel, Cycles, JobSpec, Machine, MachineConfig, RunReport};
 
 /// Schema identifier stamped into every `--json` report.
 pub const BENCH_SCHEMA: &str = "fugu-bench/v1";
@@ -85,7 +84,8 @@ options:
 impl Opts {
     /// Parses the flag set from explicit arguments (everything after
     /// `argv[0]`). Returns an error message naming the offending flag on
-    /// unknown options, missing values, or unparsable numbers.
+    /// unknown options, missing values, unparsable numbers, or a zero
+    /// `--nodes` or `--trials`.
     ///
     /// # Example
     ///
@@ -121,12 +121,18 @@ impl Opts {
                 .parse()
                 .map_err(|_| format!("{flag} wants an integer"))
         }
+        fn positive<T: PartialEq + From<u8>>(flag: &str, n: T) -> Result<T, String> {
+            if n == T::from(0) {
+                return Err(format!("{flag} wants a positive integer"));
+            }
+            Ok(n)
+        }
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => opts.quick = true,
-                "--nodes" => opts.nodes = value("--nodes", &mut args)?,
+                "--nodes" => opts.nodes = positive("--nodes", value("--nodes", &mut args)?)?,
                 "--seed" => opts.seed = value("--seed", &mut args)?,
-                "--trials" => opts.trials = value("--trials", &mut args)?,
+                "--trials" => opts.trials = positive("--trials", value("--trials", &mut args)?)?,
                 "--jobs" => opts.jobs = value("--jobs", &mut args)?,
                 "--json" => {
                     opts.json = Some(PathBuf::from(args.next().ok_or("--json needs a path")?));
@@ -303,7 +309,7 @@ impl AppKind {
                     build_cost: 120,
                     ..Default::default()
                 };
-                JobSpec::new("barnes", BarnesApp::spec(nodes, params) as Arc<dyn Program>)
+                JobSpec::new("barnes", BarnesApp::spec(nodes, params))
             }
             AppKind::Water => {
                 let params = WaterParams {
@@ -313,7 +319,7 @@ impl AppKind {
                     interact_cost: 800,
                     ..Default::default()
                 };
-                JobSpec::new("water", WaterApp::spec(nodes, params) as Arc<dyn Program>)
+                JobSpec::new("water", WaterApp::spec(nodes, params))
             }
             AppKind::Lu => {
                 let params = if quick {
@@ -329,7 +335,7 @@ impl AppKind {
                         flop_cost: 32,
                     }
                 };
-                JobSpec::new("lu", LuApp::spec(nodes, params) as Arc<dyn Program>)
+                JobSpec::new("lu", LuApp::spec(nodes, params))
             }
             AppKind::Barrier => {
                 let params = BarrierParams {
@@ -347,7 +353,7 @@ impl AppKind {
                     steal_batch: 2,
                     expand_cost: 150,
                 };
-                JobSpec::new("enum", EnumApp::spec(nodes, params) as Arc<dyn Program>)
+                JobSpec::new("enum", EnumApp::spec(nodes, params))
             }
         }
     }

@@ -66,6 +66,21 @@ fn missing_value_exits_2() {
 }
 
 #[test]
+fn zero_nodes_or_trials_exits_2_with_usage() {
+    for flag in ["--nodes", "--trials"] {
+        let out = fig7().args([flag, "0"]).output().expect("fig7 runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: {flag} wants a positive integer")),
+            "{flag} 0: {stderr}"
+        );
+        assert!(stderr.contains("--jobs"), "usage must list the flags");
+        assert!(out.stdout.is_empty(), "{flag} 0 must not print a table");
+    }
+}
+
+#[test]
 fn help_exits_0() {
     let out = fig7().arg("--help").output().expect("fig7 runs");
     assert_eq!(out.status.code(), Some(0));

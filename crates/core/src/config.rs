@@ -1,6 +1,6 @@
 //! Machine and job configuration.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use fugu_glaze::CostModel;
 use fugu_net::NetworkConfig;
@@ -81,7 +81,8 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
-    /// Builds a configuration from an explorer [`ScenarioSpec`].
+    /// Builds a configuration from an explorer
+    /// [`ScenarioSpec`](fugu_sim::explore::ScenarioSpec).
     ///
     /// The spec's knobs override the paper's defaults: machine shape
     /// (`nodes`, `frames`), scheduler timing (`timeslice`, `skew`,
@@ -126,7 +127,7 @@ pub struct JobSpec {
     /// Display name, used in reports.
     pub name: String,
     /// The program body.
-    pub program: Arc<dyn Program>,
+    pub program: Rc<dyn Program>,
     /// Background jobs (like the experiments' "null" application) never
     /// terminate and do not gate run completion.
     pub background: bool,
@@ -143,7 +144,7 @@ impl std::fmt::Debug for JobSpec {
 
 impl JobSpec {
     /// Creates a foreground job.
-    pub fn new(name: impl Into<String>, program: Arc<dyn Program>) -> Self {
+    pub fn new(name: impl Into<String>, program: Rc<dyn Program>) -> Self {
         JobSpec {
             name: name.into(),
             program,

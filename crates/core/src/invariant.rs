@@ -7,8 +7,8 @@
 //! injector ([`fugu_sim::fault`]) exists to attack those guarantees; this
 //! module watches the trace stream and verifies they hold anyway.
 //!
-//! An [`InvariantChecker`] subscribes to a machine's
-//! [`Tracer`](fugu_sim::trace::Tracer) and validates, online:
+//! An [`InvariantChecker`] subscribes to a machine's [`Tracer`] and
+//! validates, online:
 //!
 //! * **Conservation** — every delivery corresponds to exactly one launch;
 //!   a message is delivered at most once (twice when the fault injector
@@ -29,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use std::sync::Arc;
+//! use std::rc::Rc;
 //! use fugu_sim::trace::{CategoryMask, Tracer};
 //! use udm::invariant::InvariantChecker;
 //! use udm::{JobSpec, Machine, MachineConfig, Program, UserCtx};
@@ -55,14 +55,15 @@
 //! let checker = InvariantChecker::new();
 //! checker.attach(&tracer);
 //! m.set_tracer(tracer);
-//! m.add_job(JobSpec::new("ping", Arc::new(Ping)));
+//! m.add_job(JobSpec::new("ping", Rc::new(Ping)));
 //! m.run();
 //! checker.assert_clean();
 //! assert_eq!(checker.stats().delivered, 1);
 //! ```
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use fugu_net::NodeId;
 use fugu_sim::json::Json;
@@ -356,7 +357,7 @@ impl State {
 /// while the trace subscription owns another.
 #[derive(Clone)]
 pub struct InvariantChecker {
-    inner: Arc<Mutex<State>>,
+    inner: Rc<RefCell<State>>,
 }
 
 impl Default for InvariantChecker {
@@ -367,7 +368,7 @@ impl Default for InvariantChecker {
 
 impl std::fmt::Debug for InvariantChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.lock().unwrap();
+        let st = self.inner.borrow();
         f.debug_struct("InvariantChecker")
             .field("violations", &st.violations.len())
             .field("stats", &st.stats)
@@ -379,7 +380,7 @@ impl InvariantChecker {
     /// A checker that collects violations for later inspection.
     pub fn new() -> Self {
         InvariantChecker {
-            inner: Arc::new(Mutex::new(State {
+            inner: Rc::new(RefCell::new(State {
                 launches: HashMap::new(),
                 last_uid: HashMap::new(),
                 buffered: HashMap::new(),
@@ -396,14 +397,14 @@ impl InvariantChecker {
     /// Aborts the run (panics from inside the trace callback) on the first
     /// violation instead of collecting it.
     pub fn strict(self) -> Self {
-        self.inner.lock().unwrap().strict = true;
+        self.inner.borrow_mut().strict = true;
         self
     }
 
     /// Additionally enforces the §5.1 bounded-buffering claim: no node's
     /// frame allocation may exceed `bound` pages.
     pub fn with_page_bound(self, bound: u64) -> Self {
-        self.inner.lock().unwrap().page_bound = Some(bound);
+        self.inner.borrow_mut().page_bound = Some(bound);
         self
     }
 
@@ -424,25 +425,25 @@ impl InvariantChecker {
     pub fn attach(&self, tracer: &Tracer) {
         let handle = self.clone();
         tracer.subscribe(Self::mask(), move |at, ev| {
-            handle.inner.lock().unwrap().on_event(at, ev);
+            handle.inner.borrow_mut().on_event(at, ev);
         });
     }
 
     /// Violations observed so far (empty is the goal).
     pub fn violations(&self) -> Vec<Violation> {
-        self.inner.lock().unwrap().violations.clone()
+        self.inner.borrow().violations.clone()
     }
 
     /// Aggregate counters.
     pub fn stats(&self) -> InvariantStats {
-        self.inner.lock().unwrap().stats
+        self.inner.borrow().stats
     }
 
     /// Messages launched, never declared dropped, and never delivered —
     /// in flight (or lost) when the run ended. A retry protocol makes this
     /// benign; a transport bug makes it grow with the drop rate.
     pub fn undelivered(&self) -> u64 {
-        let st = self.inner.lock().unwrap();
+        let st = self.inner.borrow();
         st.launches
             .values()
             .filter(|r| !r.dropped && r.deliveries == 0)
@@ -463,7 +464,7 @@ impl InvariantChecker {
 
     /// Structured JSON summary (violations + stats) for harness reports.
     pub fn to_json(&self) -> Json {
-        let st = self.inner.lock().unwrap();
+        let st = self.inner.borrow();
         let violations = st.violations.iter().map(|v| {
             Json::object([
                 ("at", Json::from(v.at)),

@@ -20,7 +20,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use std::sync::Arc;
+//! use std::rc::Rc;
 //! use udm::{Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
 //!
 //! /// Node 0 pings every other node; the others pong back.
@@ -64,7 +64,7 @@
 //! }
 //!
 //! let mut machine = Machine::new(MachineConfig { nodes: 4, ..Default::default() });
-//! machine.add_job(JobSpec::new("pingpong", Arc::new(PingPong)));
+//! machine.add_job(JobSpec::new("pingpong", Rc::new(PingPong)));
 //! let report = machine.run();
 //! let job = report.job("pingpong");
 //! assert_eq!(job.sent, 6); // 3 pings + 3 pongs

@@ -24,7 +24,7 @@
 //! preempted computation resumes with its remaining cycles intact.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use fugu_glaze::{FrameAllocator, GangScheduler, OverflowAction, OverflowControl, VirtualBuffer};
 use fugu_net::{Gid, Message, Network, NodeId};
@@ -195,7 +195,7 @@ struct JobState {
 /// # Example
 ///
 /// ```
-/// use std::sync::Arc;
+/// use std::rc::Rc;
 /// use udm::{JobSpec, Machine, MachineConfig, Program, UserCtx};
 ///
 /// struct Hello;
@@ -217,7 +217,7 @@ struct JobState {
 /// }
 ///
 /// let mut m = Machine::new(MachineConfig { nodes: 2, ..Default::default() });
-/// m.add_job(JobSpec::new("hello", Arc::new(Hello)));
+/// m.add_job(JobSpec::new("hello", Rc::new(Hello)));
 /// let report = m.run();
 /// assert_eq!(report.job("hello").sent, 1);
 /// assert_eq!(report.job("hello").delivered_fast, 1);
@@ -341,13 +341,13 @@ impl Machine {
         let nnodes = self.cfg.nodes;
         let seed = self.cfg.seed;
         for n in 0..nnodes {
-            let program = Arc::clone(&spec.program);
+            let program = Rc::clone(&spec.program);
             let main_seed = mix_seed(seed, job, n, 0);
             let main = self.coro.spawn(move |co| {
                 let mut ctx = UserCtx::new(co, n, nnodes, job, CtxKind::Main, main_seed);
                 program.main(&mut ctx);
             });
-            let program = Arc::clone(&spec.program);
+            let program = Rc::clone(&spec.program);
             let handler_seed = mix_seed(seed, job, n, 1);
             let handler = self.coro.spawn(move |co| {
                 let mut ctx = UserCtx::new(co, n, nnodes, job, CtxKind::Handler, handler_seed);
@@ -656,10 +656,8 @@ impl Machine {
         // Injected per-node jitter delays the *next* boundary; the gang
         // scheduler itself is a pure function of time, so a late switch
         // simply shortens the following quantum.
-        self.queue.schedule(
-            next + self.faults.quantum_jitter(n),
-            Ev::Quantum { node: n },
-        );
+        self.queue
+            .schedule(next + self.faults.quantum_jitter(), Ev::Quantum { node: n });
 
         let prev_job = self.nodes[n].cur_job;
         self.tracer
@@ -770,7 +768,7 @@ impl Machine {
                 // entry, so the OS charges the fault and switches the
                 // process to buffered mode — the next loop iteration then
                 // diverts the message into the software buffer (§4.3).
-                if self.faults.handler_fault(n) {
+                if self.faults.handler_fault() {
                     self.tracer
                         .emit_with(CategoryMask::FAULT, || TraceEvent::FaultHandlerFault {
                             node: n,
@@ -918,7 +916,7 @@ impl Machine {
             let t = node.free_at.max(now);
             let frames = &mut node.frames;
             let proc = &mut node.procs[j];
-            // The clone is O(1): the payload is Arc-shared, so the fallback
+            // The clone is O(1): the payload is Rc-shared, so the fallback
             // path below can still consume `msg` without a deep copy here.
             cost = match proc.vbuf.insert(msg.clone(), frames) {
                 Ok(outcome) => {
@@ -1439,7 +1437,7 @@ impl Machine {
             });
         // The sender has paid the full launch cost by this point; the fault
         // injector decides what the *network* does with the message.
-        match self.faults.on_send(n, dst) {
+        match self.faults.on_send() {
             NetFault::Deliver => {
                 let arrival = self.net.inject(self.nodes[n].free_at, &stamped);
                 self.queue.schedule(

@@ -13,8 +13,6 @@
 //! software buffer in virtual memory (buffered case). The machine switches
 //! between the two cases freely; user code cannot tell, except by timing.
 
-use std::sync::Arc;
-
 use fugu_net::{HandlerId, NodeId, Payload};
 use fugu_sim::coro::CoCtx;
 use fugu_sim::rng::DetRng;
@@ -121,10 +119,14 @@ pub enum SimResp {
 /// A single `Program` value is shared by every node of the job and by both
 /// execution contexts (main thread and handler) on each node, so per-node
 /// mutable state lives behind interior mutability — conventionally a
-/// `Vec<Mutex<State>>` indexed by [`UserCtx::node`]. Within one node the
-/// machine never runs the main thread and the handler concurrently, so
-/// those locks are never contended.
-pub trait Program: Send + Sync + 'static {
+/// `Vec<RefCell<State>>` indexed by [`UserCtx::node`]. Every sim-thread of a
+/// machine runs on the thread that called [`Machine::run`](crate::Machine::run),
+/// so a program needs neither `Send` nor `Sync`. Within one node the machine
+/// never runs the main thread and the handler at the same time, so a borrow
+/// taken and released between two `UserCtx` calls never conflicts. A borrow
+/// held across a call that yields lets the other context find it taken, and
+/// that context then panics on its conflicting borrow.
+pub trait Program: 'static {
     /// Per-node entry point. The job completes when `main` has returned on
     /// every node.
     fn main(&self, ctx: &mut UserCtx<'_>);
@@ -420,6 +422,3 @@ impl<'a> UserCtx<'a> {
         }
     }
 }
-
-/// Convenience alias used throughout the workload crates.
-pub type SharedProgram = Arc<dyn Program>;

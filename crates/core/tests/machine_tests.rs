@@ -2,7 +2,8 @@
 //! (Tables 4/5), two-case delivery transitions, transparent access,
 //! revocation, overflow control and determinism.
 
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use udm::{
     CostModel, Envelope, JobSpec, Machine, MachineConfig, NicConfig, Program, RunReport, UserCtx,
@@ -23,7 +24,7 @@ fn machine(nodes: usize) -> Machine {
 /// Node 0 sends one interrupt-delivered null message to node 1, which just
 /// computes until the handler flips a flag.
 struct OneShot {
-    got: Mutex<bool>,
+    got: Cell<bool>,
 }
 
 impl Program for OneShot {
@@ -31,7 +32,7 @@ impl Program for OneShot {
         match ctx.node() {
             0 => ctx.send(1, 7, &[]),
             1 => {
-                while !*self.got.lock().unwrap() {
+                while !self.got.get() {
                     ctx.compute(50);
                 }
             }
@@ -42,7 +43,7 @@ impl Program for OneShot {
         assert_eq!(env.handler.0, 7);
         assert_eq!(env.src, 0);
         assert_eq!(ctx.node(), 1);
-        *self.got.lock().unwrap() = true;
+        self.got.set(true);
     }
 }
 
@@ -51,8 +52,8 @@ fn interrupt_delivery_reaches_handler() {
     let mut m = machine(2);
     m.add_job(JobSpec::new(
         "oneshot",
-        Arc::new(OneShot {
-            got: Mutex::new(false),
+        Rc::new(OneShot {
+            got: Cell::new(false),
         }),
     ));
     let r = m.run();
@@ -61,6 +62,53 @@ fn interrupt_delivery_reaches_handler() {
     assert_eq!(j.delivered_fast, 1);
     assert_eq!(j.delivered_buffered, 0);
     assert_eq!(j.buffered_fraction(), 0.0);
+}
+
+/// A program needs neither `Send` nor `Sync`: per-node state in plain
+/// `Cell`s, plus an `Rc<RefCell<_>>` log shared with the test body that
+/// both nodes' main threads write to and the test reads after the run.
+#[test]
+fn non_sync_program_shares_state_with_the_caller() {
+    struct Counter {
+        received: Vec<Cell<u64>>,
+        log: Rc<RefCell<Vec<(usize, u64)>>>,
+    }
+    impl Program for Counter {
+        fn main(&self, ctx: &mut UserCtx<'_>) {
+            let me = ctx.node();
+            for i in 0..3 {
+                ctx.send(1 - me, 0, &[i]);
+            }
+            while self.received[me].get() < 3 {
+                ctx.compute(50);
+            }
+            self.log.borrow_mut().push((me, self.received[me].get()));
+        }
+        fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
+            let got = &self.received[ctx.node()];
+            assert_eq!(u64::from(env.payload[0]), got.get(), "FIFO per sender");
+            got.set(got.get() + 1);
+        }
+    }
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut m = machine(2);
+    m.add_job(JobSpec::new(
+        "counter",
+        Rc::new(Counter {
+            received: (0..2).map(|_| Cell::new(0)).collect(),
+            log: Rc::clone(&log),
+        }),
+    ));
+    let r = m.run();
+    assert_eq!(r.job("counter").sent, 6);
+    assert_eq!(
+        Rc::strong_count(&log),
+        1,
+        "the finished machine released its program"
+    );
+    let mut entries = log.take();
+    entries.sort_unstable();
+    assert_eq!(entries, [(0, 3), (1, 3)]);
 }
 
 /// An interrupt-delivered null message into an idle compute loop costs
@@ -80,8 +128,8 @@ fn table4_interrupt_cost_is_emergent() {
         });
         m.add_job(JobSpec::new(
             "oneshot",
-            Arc::new(OneShot {
-                got: Mutex::new(false),
+            Rc::new(OneShot {
+                got: Cell::new(false),
             }),
         ));
         let r = m.run();
@@ -114,7 +162,7 @@ fn table4_per_word_receive_cost() {
         }
     }
     let mut m = machine(2);
-    m.add_job(JobSpec::new("words", Arc::new(WordShot)));
+    m.add_job(JobSpec::new("words", Rc::new(WordShot)));
     let r = m.run();
     assert_eq!(r.job("words").handler_cycles.mean(), 87.0 + 8.0);
 }
@@ -157,7 +205,7 @@ impl Program for PollPong {
 #[test]
 fn polling_ping_pong_round_trips() {
     let mut m = machine(2);
-    m.add_job(JobSpec::new("pp", Arc::new(PollPong { rounds: 10 })));
+    m.add_job(JobSpec::new("pp", Rc::new(PollPong { rounds: 10 })));
     let r = m.run();
     let j = r.job("pp");
     assert_eq!(j.sent, 20);
@@ -190,7 +238,7 @@ impl Program for RawExtract {
 #[test]
 fn raw_extract_bypasses_handler() {
     let mut m = machine(2);
-    m.add_job(JobSpec::new("raw", Arc::new(RawExtract)));
+    m.add_job(JobSpec::new("raw", Rc::new(RawExtract)));
     let r = m.run();
     assert_eq!(r.job("raw").delivered_fast, 1);
     assert_eq!(r.job("raw").handler_cycles.count(), 0);
@@ -229,7 +277,7 @@ impl Program for AtomicHog {
 #[test]
 fn atomicity_timeout_revokes_to_buffered_mode() {
     let mut m = machine(2);
-    m.add_job(JobSpec::new("hog", Arc::new(AtomicHog)));
+    m.add_job(JobSpec::new("hog", Rc::new(AtomicHog)));
     let r = m.run();
     let j = r.job("hog");
     assert_eq!(j.atomicity_timeouts, 1, "timer must have revoked once");
@@ -246,7 +294,7 @@ fn atomicity_timeout_revokes_to_buffered_mode() {
 #[test]
 fn prompt_polling_is_never_revoked() {
     let mut m = machine(2);
-    m.add_job(JobSpec::new("pp", Arc::new(PollPong { rounds: 200 })));
+    m.add_job(JobSpec::new("pp", Rc::new(PollPong { rounds: 200 })));
     let r = m.run();
     assert_eq!(r.job("pp").atomicity_timeouts, 0);
     assert_eq!(r.job("pp").delivered_buffered, 0);
@@ -272,7 +320,7 @@ impl Program for NullApp {
 struct Exchanger {
     count: u32,
     gap: u64,
-    received: Vec<Mutex<u32>>,
+    received: Vec<Cell<u32>>,
 }
 
 impl Exchanger {
@@ -280,7 +328,7 @@ impl Exchanger {
         Exchanger {
             count,
             gap,
-            received: (0..nodes).map(|_| Mutex::new(0)).collect(),
+            received: (0..nodes).map(|_| Cell::new(0)).collect(),
         }
     }
 }
@@ -298,12 +346,13 @@ impl Program for Exchanger {
             }
             ctx.compute(self.gap);
         }
-        while *self.received[me].lock().unwrap() < expect {
+        while self.received[me].get() < expect {
             ctx.compute(500);
         }
     }
     fn handler(&self, ctx: &mut UserCtx<'_>, _env: &Envelope) {
-        *self.received[ctx.node()].lock().unwrap() += 1;
+        let received = &self.received[ctx.node()];
+        received.set(received.get() + 1);
     }
 }
 
@@ -321,9 +370,9 @@ fn multiprogrammed_skewed_run_buffers_but_loses_nothing() {
     });
     m.add_job(JobSpec::new(
         "exchange",
-        Arc::new(Exchanger::new(nodes, 40, 800)),
+        Rc::new(Exchanger::new(nodes, 40, 800)),
     ));
-    m.add_job(JobSpec::new("null", Arc::new(NullApp)).background());
+    m.add_job(JobSpec::new("null", Rc::new(NullApp)).background());
     let r = m.run();
     let j = r.job("exchange");
     let total = (nodes as u64) * (nodes as u64 - 1) * 40;
@@ -361,9 +410,9 @@ fn zero_skew_multiprogramming_buffers_little() {
         });
         m.add_job(JobSpec::new(
             "exchange",
-            Arc::new(Exchanger::new(nodes, 40, 400)),
+            Rc::new(Exchanger::new(nodes, 40, 400)),
         ));
-        m.add_job(JobSpec::new("null", Arc::new(NullApp)).background());
+        m.add_job(JobSpec::new("null", Rc::new(NullApp)).background());
         m.run()
     };
     let aligned = run(0.0);
@@ -390,9 +439,9 @@ fn buffering_uses_few_physical_pages() {
     });
     m.add_job(JobSpec::new(
         "exchange",
-        Arc::new(Exchanger::new(nodes, 60, 500)),
+        Rc::new(Exchanger::new(nodes, 60, 500)),
     ));
-    m.add_job(JobSpec::new("null", Arc::new(NullApp)).background());
+    m.add_job(JobSpec::new("null", Rc::new(NullApp)).background());
     let r = m.run();
     assert!(r.job("exchange").delivered_buffered > 0);
     assert!(
@@ -424,7 +473,7 @@ impl Program for BlockWake {
 #[test]
 fn handler_wakes_blocked_main() {
     let mut m = machine(2);
-    m.add_job(JobSpec::new("bw", Arc::new(BlockWake)));
+    m.add_job(JobSpec::new("bw", Rc::new(BlockWake)));
     let r = m.run();
     assert_eq!(r.job("bw").delivered_fast, 1);
 }
@@ -450,7 +499,7 @@ impl Program for EarlyWake {
 #[test]
 fn early_wake_is_banked_not_lost() {
     let mut m = machine(2);
-    m.add_job(JobSpec::new("ew", Arc::new(EarlyWake)));
+    m.add_job(JobSpec::new("ew", Rc::new(EarlyWake)));
     let r = m.run();
     assert_eq!(r.job("ew").delivered_fast, 1);
 }
@@ -462,7 +511,7 @@ fn early_wake_is_banked_not_lost() {
 #[test]
 fn full_nic_queue_holds_messages_in_fabric_without_loss() {
     struct Burst {
-        seen: Mutex<u32>,
+        seen: Cell<u32>,
     }
     impl Program for Burst {
         fn main(&self, ctx: &mut UserCtx<'_>) {
@@ -484,14 +533,14 @@ fn full_nic_queue_holds_messages_in_fabric_without_loss() {
                     }
                 }
                 ctx.end_atomic();
-                assert_eq!(*self.seen.lock().unwrap(), 64);
+                assert_eq!(self.seen.get(), 64);
             }
         }
         fn handler(&self, _ctx: &mut UserCtx<'_>, env: &Envelope) {
-            let mut seen = self.seen.lock().unwrap();
+            let seen = self.seen.get();
             // FIFO order must survive the fabric backlog.
-            assert_eq!(env.payload[0], *seen);
-            *seen += 1;
+            assert_eq!(env.payload[0], seen);
+            self.seen.set(seen + 1);
         }
     }
     let mut m = Machine::new(MachineConfig {
@@ -501,12 +550,7 @@ fn full_nic_queue_holds_messages_in_fabric_without_loss() {
         },
         ..Default::default()
     });
-    m.add_job(JobSpec::new(
-        "burst",
-        Arc::new(Burst {
-            seen: Mutex::new(0),
-        }),
-    ));
+    m.add_job(JobSpec::new("burst", Rc::new(Burst { seen: Cell::new(0) })));
     let r = m.run();
     let j = r.job("burst");
     assert_eq!(j.delivered(), 64);
@@ -519,7 +563,7 @@ fn full_nic_queue_holds_messages_in_fabric_without_loss() {
 #[test]
 fn frame_exhaustion_swaps_and_suspends_instead_of_losing_messages() {
     struct Flood {
-        drained: Mutex<u32>,
+        drained: Cell<u32>,
     }
     impl Program for Flood {
         fn main(&self, ctx: &mut UserCtx<'_>) {
@@ -542,11 +586,11 @@ fn frame_exhaustion_swaps_and_suspends_instead_of_losing_messages() {
                     }
                 }
                 ctx.end_atomic();
-                assert_eq!(*self.drained.lock().unwrap(), 400);
+                assert_eq!(self.drained.get(), 400);
             }
         }
         fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {
-            *self.drained.lock().unwrap() += 1;
+            self.drained.set(self.drained.get() + 1);
         }
     }
     let mut m = Machine::new(MachineConfig {
@@ -562,8 +606,8 @@ fn frame_exhaustion_swaps_and_suspends_instead_of_losing_messages() {
     });
     m.add_job(JobSpec::new(
         "flood",
-        Arc::new(Flood {
-            drained: Mutex::new(0),
+        Rc::new(Flood {
+            drained: Cell::new(0),
         }),
     ));
     let r = m.run();
@@ -597,9 +641,9 @@ fn identical_configs_produce_identical_runs() {
         });
         m.add_job(JobSpec::new(
             "exchange",
-            Arc::new(Exchanger::new(nodes, 30, 700)),
+            Rc::new(Exchanger::new(nodes, 30, 700)),
         ));
-        m.add_job(JobSpec::new("null", Arc::new(NullApp)).background());
+        m.add_job(JobSpec::new("null", Rc::new(NullApp)).background());
         m.run()
     };
     let a = run();
@@ -649,7 +693,7 @@ fn peek_observes_without_consuming_in_both_modes() {
         }
     }
     let mut m = machine(2);
-    m.add_job(JobSpec::new("peek", Arc::new(Full)));
+    m.add_job(JobSpec::new("peek", Rc::new(Full)));
     let r = m.run();
     let j = r.job("peek");
     assert_eq!(j.delivered_fast, 1);
@@ -659,7 +703,7 @@ fn peek_observes_without_consuming_in_both_modes() {
 #[test]
 fn page_fault_in_handler_switches_to_buffered_mode() {
     struct FaultyHandler {
-        handled: Mutex<u32>,
+        handled: Cell<u32>,
     }
     impl Program for FaultyHandler {
         fn main(&self, ctx: &mut UserCtx<'_>) {
@@ -668,18 +712,15 @@ fn page_fault_in_handler_switches_to_buffered_mode() {
                 ctx.compute(2_000);
                 ctx.send(1, 0, &[]); // arrives while node 1 services a fault
             } else {
-                while *self.handled.lock().unwrap() < 2 {
+                while self.handled.get() < 2 {
                     ctx.compute(100);
                 }
             }
         }
         fn handler(&self, ctx: &mut UserCtx<'_>, _env: &Envelope) {
-            let first = {
-                let mut h = self.handled.lock().unwrap();
-                *h += 1;
-                *h == 1
-            };
-            if first {
+            let handled = self.handled.get() + 1;
+            self.handled.set(handled);
+            if handled == 1 {
                 ctx.touch_page(7); // demand-zero fault inside the handler
                 ctx.compute(5_000);
             }
@@ -688,8 +729,8 @@ fn page_fault_in_handler_switches_to_buffered_mode() {
     let mut m = machine(2);
     m.add_job(JobSpec::new(
         "faulty",
-        Arc::new(FaultyHandler {
-            handled: Mutex::new(0),
+        Rc::new(FaultyHandler {
+            handled: Cell::new(0),
         }),
     ));
     let r = m.run();
@@ -705,7 +746,7 @@ fn page_fault_in_handler_switches_to_buffered_mode() {
 #[test]
 fn touch_page_faults_once_per_page() {
     struct Toucher {
-        done: Mutex<bool>,
+        done: Cell<bool>,
     }
     impl Program for Toucher {
         fn main(&self, ctx: &mut UserCtx<'_>) {
@@ -717,24 +758,24 @@ fn touch_page_faults_once_per_page() {
                 let t2 = ctx.now();
                 assert!(t1 - t0 > 1_000, "first touch must fault");
                 assert!(t2 - t1 < 10, "second touch must hit");
-                *self.done.lock().unwrap() = true;
+                self.done.set(true);
             }
         }
     }
     let mut m = machine(1);
-    let p = Arc::new(Toucher {
-        done: Mutex::new(false),
+    let p = Rc::new(Toucher {
+        done: Cell::new(false),
     });
-    m.add_job(JobSpec::new("touch", Arc::clone(&p) as Arc<dyn Program>));
+    m.add_job(JobSpec::new("touch", Rc::clone(&p) as Rc<dyn Program>));
     let r = m.run();
-    assert!(*p.done.lock().unwrap());
+    assert!(p.done.get());
     assert_eq!(r.job("touch").page_faults, 1);
 }
 
 #[test]
 fn polling_watchdog_forces_interrupts_instead_of_buffering() {
     struct Sluggish {
-        received: Mutex<u32>,
+        received: Cell<u32>,
     }
     impl Program for Sluggish {
         fn main(&self, ctx: &mut UserCtx<'_>) {
@@ -745,7 +786,7 @@ fn polling_watchdog_forces_interrupts_instead_of_buffering() {
                 }
             } else {
                 ctx.begin_atomic();
-                while *self.received.lock().unwrap() < 20 {
+                while self.received.get() < 20 {
                     ctx.compute(30_000); // far past the 8192 timeout
                     while ctx.poll() {}
                 }
@@ -753,7 +794,7 @@ fn polling_watchdog_forces_interrupts_instead_of_buffering() {
             }
         }
         fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {
-            *self.received.lock().unwrap() += 1;
+            self.received.set(self.received.get() + 1);
         }
     }
     let run = |watchdog: bool| {
@@ -764,9 +805,9 @@ fn polling_watchdog_forces_interrupts_instead_of_buffering() {
         });
         m.add_job(JobSpec::new(
             "slug",
-            Arc::new(Sluggish {
-                received: Mutex::new(0),
-            }) as Arc<dyn Program>,
+            Rc::new(Sluggish {
+                received: Cell::new(0),
+            }) as Rc<dyn Program>,
         ));
         m.run()
     };
@@ -787,7 +828,7 @@ fn polling_watchdog_forces_interrupts_instead_of_buffering() {
 #[test]
 fn injectc_refuses_when_fabric_congested() {
     struct Flooder {
-        refused: Mutex<u32>,
+        refused: Cell<u32>,
     }
     impl Program for Flooder {
         fn main(&self, ctx: &mut UserCtx<'_>) {
@@ -799,7 +840,7 @@ fn injectc_refuses_when_fabric_congested() {
                     if ctx.try_send(1, 0, &[]) {
                         sent += 1;
                     } else {
-                        *self.refused.lock().unwrap() += 1;
+                        self.refused.set(self.refused.get() + 1);
                         ctx.compute(200);
                     }
                 }
@@ -819,18 +860,18 @@ fn injectc_refuses_when_fabric_congested() {
         }
         fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {}
     }
-    let p = Arc::new(Flooder {
-        refused: Mutex::new(0),
+    let p = Rc::new(Flooder {
+        refused: Cell::new(0),
     });
     let mut m = Machine::new(MachineConfig {
         nodes: 2,
         inject_window: 8,
         ..Default::default()
     });
-    m.add_job(JobSpec::new("flood", Arc::clone(&p) as Arc<dyn Program>));
+    m.add_job(JobSpec::new("flood", Rc::clone(&p) as Rc<dyn Program>));
     let r = m.run();
     assert!(
-        *p.refused.lock().unwrap() > 0,
+        p.refused.get() > 0,
         "a closed 8-message window must refuse some injectc attempts"
     );
     assert_eq!(
@@ -866,7 +907,7 @@ fn gid_isolation_between_jobs() {
         }
     }
     struct Bystander {
-        intrusions: Mutex<u32>,
+        intrusions: Cell<u32>,
     }
     impl Program for Bystander {
         fn main(&self, ctx: &mut UserCtx<'_>) {
@@ -875,17 +916,17 @@ fn gid_isolation_between_jobs() {
             for _ in 0..200 {
                 if let Some(env) = ctx.poll_extract() {
                     let _ = env;
-                    *self.intrusions.lock().unwrap() += 1;
+                    self.intrusions.set(self.intrusions.get() + 1);
                 }
                 ctx.compute(1_000);
             }
         }
         fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {
-            *self.intrusions.lock().unwrap() += 1;
+            self.intrusions.set(self.intrusions.get() + 1);
         }
     }
-    let bystander = Arc::new(Bystander {
-        intrusions: Mutex::new(0),
+    let bystander = Rc::new(Bystander {
+        intrusions: Cell::new(0),
     });
     let mut m = Machine::new(MachineConfig {
         nodes: 2,
@@ -896,14 +937,14 @@ fn gid_isolation_between_jobs() {
         },
         ..Default::default()
     });
-    m.add_job(JobSpec::new("talker", Arc::new(Talker)));
+    m.add_job(JobSpec::new("talker", Rc::new(Talker)));
     m.add_job(JobSpec::new(
         "bystander",
-        Arc::clone(&bystander) as Arc<dyn Program>,
+        Rc::clone(&bystander) as Rc<dyn Program>,
     ));
     let r = m.run();
     assert_eq!(
-        *bystander.intrusions.lock().unwrap(),
+        bystander.intrusions.get(),
         0,
         "bystander observed another group's messages"
     );
@@ -923,7 +964,7 @@ fn two_communicating_jobs_interleave_cleanly() {
     let mk = |marker: u32| {
         struct Chat {
             marker: u32,
-            got: Mutex<u32>,
+            got: Cell<u32>,
         }
         impl Program for Chat {
             fn main(&self, ctx: &mut UserCtx<'_>) {
@@ -932,20 +973,20 @@ fn two_communicating_jobs_interleave_cleanly() {
                     ctx.send(peer, self.marker, &[self.marker]);
                     ctx.compute(2_000);
                 }
-                while *self.got.lock().unwrap() < 30 {
+                while self.got.get() < 30 {
                     ctx.compute(1_000);
                 }
             }
             fn handler(&self, _ctx: &mut UserCtx<'_>, env: &Envelope) {
                 assert_eq!(env.handler.0, self.marker, "crosstalk between jobs!");
                 assert_eq!(env.payload, [self.marker]);
-                *self.got.lock().unwrap() += 1;
+                self.got.set(self.got.get() + 1);
             }
         }
-        Arc::new(Chat {
+        Rc::new(Chat {
             marker,
-            got: Mutex::new(0),
-        }) as Arc<dyn Program>
+            got: Cell::new(0),
+        }) as Rc<dyn Program>
     };
     let mut m = Machine::new(MachineConfig {
         nodes: 2,

@@ -3,7 +3,8 @@
 //! same events the recorder does, and the flat metrics in the run-report
 //! JSON agree with the report's structured fields.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use fugu_sim::fault::FaultPlan;
 use fugu_sim::json::Json;
@@ -57,8 +58,8 @@ fn busy_machine_with_faults(tracer: Tracer, faults: FaultPlan) -> Machine {
         ..Default::default()
     });
     m.set_tracer(tracer);
-    m.add_job(JobSpec::new("chatter", Arc::new(Chatter)));
-    m.add_job(JobSpec::new("idler", Arc::new(Idler)).background());
+    m.add_job(JobSpec::new("chatter", Rc::new(Chatter)));
+    m.add_job(JobSpec::new("idler", Rc::new(Idler)).background());
     m
 }
 
@@ -128,11 +129,11 @@ fn category_mask_filters_recording() {
 #[test]
 fn subscriber_sees_the_same_events_as_the_recorder() {
     let tracer = Tracer::recorder(usize::MAX, CategoryMask::MSG);
-    let seen = Arc::new(Mutex::new(Vec::new()));
+    let seen = Rc::new(RefCell::new(Vec::new()));
     {
-        let seen = Arc::clone(&seen);
+        let seen = Rc::clone(&seen);
         tracer.subscribe(CategoryMask::MSG, move |at, event| {
-            seen.lock().unwrap().push(TraceRecord {
+            seen.borrow_mut().push(TraceRecord {
                 at,
                 event: event.clone(),
             });
@@ -141,7 +142,7 @@ fn subscriber_sees_the_same_events_as_the_recorder() {
     let m = busy_machine(tracer.clone());
     m.run();
     let recorded = tracer.take_records();
-    assert_eq!(*seen.lock().unwrap(), recorded);
+    assert_eq!(*seen.borrow(), recorded);
 }
 
 /// The `metrics` object of the report's JSON, parsed back.

@@ -36,8 +36,8 @@
 //! invalidations and recalls are *deferred* until the matching `end_*`
 //! (as in real CRL), so data is never torn mid-access.
 
+use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use udm::{Cycles, Envelope, NodeId, UserCtx};
 
@@ -213,14 +213,16 @@ struct CrlNode {
 
 /// A region-based software DSM instance for one job.
 ///
-/// Shared via `Arc` between the job's program value on every node; each
-/// node's state lives behind its own mutex (never contended: the machine
-/// serializes a node's contexts).
+/// Shared via `Rc` between the job's program value on every node; each
+/// node's state lives in its own `RefCell`. The machine never runs a node's
+/// main thread and handler at the same time, and every protocol method
+/// releases its borrow before calling back into the machine, so the borrows
+/// never overlap.
 #[derive(Debug)]
 pub struct Crl {
     nnodes: usize,
     costs: CrlCosts,
-    nodes: Vec<Mutex<CrlNode>>,
+    nodes: Vec<RefCell<CrlNode>>,
 }
 
 impl Crl {
@@ -235,7 +237,7 @@ impl Crl {
             nnodes,
             costs,
             nodes: (0..nnodes)
-                .map(|_| Mutex::new(CrlNode::default()))
+                .map(|_| RefCell::new(CrlNode::default()))
                 .collect(),
         }
     }
@@ -245,18 +247,9 @@ impl Crl {
         rid as usize % self.nnodes
     }
 
-    /// Locks one node's protocol state, recovering from lock poisoning.
-    ///
-    /// A panic in simulated program code (an assertion failure, or the
-    /// machine's structured deadlock dump) unwinds while a node lock is
-    /// held and poisons it. Every protocol entry point goes through this
-    /// helper rather than `lock().unwrap()` so that the *first* panic's
-    /// message survives instead of being buried under a cascade of opaque
-    /// `PoisonError` panics from whichever handlers run afterwards. The
-    /// state itself is safe to reuse: each method leaves it consistent
-    /// before calling back into the machine.
-    fn node(&self, n: NodeId) -> MutexGuard<'_, CrlNode> {
-        self.nodes[n].lock().unwrap_or_else(PoisonError::into_inner)
+    /// Borrows one node's protocol state.
+    fn node(&self, n: NodeId) -> RefMut<'_, CrlNode> {
+        self.nodes[n].borrow_mut()
     }
 
     fn key(rid: Rid) -> u32 {
@@ -1086,21 +1079,20 @@ impl Crl {
 mod tests {
     use super::*;
 
-    /// A panic under a node lock (as a simulated-program assertion failure
-    /// produces) must not cascade: later lock acquisitions recover the
-    /// state instead of dying on `PoisonError`, so the first panic's
-    /// message reaches the user intact.
+    /// A panic under a node borrow (as a simulated-program assertion
+    /// failure produces) must not cascade: the unwind releases the borrow,
+    /// so later accesses see the state instead of a `BorrowMutError`, and
+    /// the first panic's message reaches the user intact.
     #[test]
-    fn poisoned_node_lock_is_recovered() {
+    fn panic_under_node_borrow_does_not_cascade() {
         let crl = Crl::with_costs(2, CrlCosts::default());
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut st = crl.nodes[0].lock().unwrap();
+            let mut st = crl.node(0);
             st.retries = 7;
             panic!("original diagnostic");
         }));
         assert!(caught.is_err());
-        assert!(crl.nodes[0].is_poisoned());
-        // Every public accessor goes through the recovering helper.
+        // Every public accessor borrows through `node`.
         assert_eq!(crl.retries(), 7);
         assert_eq!(crl.protocol_messages(0), 0);
     }

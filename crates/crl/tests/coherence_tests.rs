@@ -3,12 +3,13 @@
 //! invalidations and recalls, write serialization, and survival of the
 //! protocol under multiprogrammed, skewed (buffering-heavy) schedules.
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use fugu_crl::Crl;
 use udm::{CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
 
-fn run_on(nodes: usize, program: Arc<dyn Program>) -> udm::RunReport {
+fn run_on(nodes: usize, program: Rc<dyn Program>) -> udm::RunReport {
     let mut m = Machine::new(MachineConfig {
         nodes,
         ..Default::default()
@@ -18,12 +19,12 @@ fn run_on(nodes: usize, program: Arc<dyn Program>) -> udm::RunReport {
 }
 
 /// Program shell that owns a Crl and forwards protocol messages.
-struct CrlProg<F: Fn(&Crl, &mut UserCtx<'_>) + Send + Sync + 'static> {
+struct CrlProg<F: Fn(&Crl, &mut UserCtx<'_>) + 'static> {
     crl: Crl,
     body: F,
 }
 
-impl<F: Fn(&Crl, &mut UserCtx<'_>) + Send + Sync + 'static> Program for CrlProg<F> {
+impl<F: Fn(&Crl, &mut UserCtx<'_>) + 'static> Program for CrlProg<F> {
     fn main(&self, ctx: &mut UserCtx<'_>) {
         (self.body)(&self.crl, ctx);
     }
@@ -32,11 +33,8 @@ impl<F: Fn(&Crl, &mut UserCtx<'_>) + Send + Sync + 'static> Program for CrlProg<
     }
 }
 
-fn crl_prog<F: Fn(&Crl, &mut UserCtx<'_>) + Send + Sync + 'static>(
-    nodes: usize,
-    body: F,
-) -> Arc<dyn Program> {
-    Arc::new(CrlProg {
+fn crl_prog<F: Fn(&Crl, &mut UserCtx<'_>) + 'static>(nodes: usize, body: F) -> Rc<dyn Program> {
+    Rc::new(CrlProg {
         crl: Crl::new(nodes),
         body,
     })
@@ -86,8 +84,8 @@ fn remote_read_fetches_master_copy() {
 
 #[test]
 fn remote_write_then_remote_read_sees_update() {
-    let order = Arc::new(Mutex::new(0u32));
-    let o2 = Arc::clone(&order);
+    let order = Rc::new(Cell::new(0u32));
+    let o2 = Rc::clone(&order);
     run_on(
         4,
         crl_prog(4, move |crl, ctx| {
@@ -97,13 +95,13 @@ fn remote_write_then_remote_read_sees_update() {
                     crl.start_write(ctx, 2);
                     crl.update(ctx, 2, |d| d[3] = 777);
                     crl.end_write(ctx, 2);
-                    *o2.lock().unwrap() = 1;
+                    o2.set(1);
                 }
                 1 => {
                     // Wait until node 0 finished its write (host-side flag is
                     // fine: we only need *some* ordering, the protocol supplies
                     // the data correctness).
-                    while *o2.lock().unwrap() == 0 {
+                    while o2.get() == 0 {
                         ctx.compute(500);
                     }
                     crl.start_read(ctx, 2);
@@ -226,8 +224,8 @@ fn many_regions_many_nodes_stress() {
     const REGIONS: u32 = 8;
     const OPS: usize = 40;
     let nodes = 4;
-    let done = Arc::new(Mutex::new(0usize));
-    let d2 = Arc::clone(&done);
+    let done = Rc::new(Cell::new(0usize));
+    let d2 = Rc::clone(&done);
     run_on(
         nodes,
         crl_prog(nodes, move |crl, ctx| {
@@ -250,9 +248,9 @@ fn many_regions_many_nodes_stress() {
                 }
                 ctx.compute(300);
             }
-            *d2.lock().unwrap() += 1;
+            d2.set(d2.get() + 1);
             // Wait for everyone, then node 0 audits the global sum.
-            while *d2.lock().unwrap() < ctx.nodes() {
+            while d2.get() < ctx.nodes() {
                 ctx.compute(1_000);
             }
             if ctx.node() == 0 {
@@ -320,7 +318,7 @@ fn protocol_survives_multiprogrammed_buffered_delivery() {
         ..Default::default()
     });
     m.add_job(JobSpec::new("crl", prog));
-    m.add_job(JobSpec::new("null", Arc::new(NullApp)).background());
+    m.add_job(JobSpec::new("null", Rc::new(NullApp)).background());
     let r = m.run();
     let j = r.job("crl");
     assert!(

@@ -1,6 +1,6 @@
 //! The UDM message: routing header, handler word, payload, GID stamp.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Index of a node (processor) in the simulated machine.
 ///
@@ -74,9 +74,10 @@ impl std::fmt::Display for HandlerId {
 ///
 /// Message payloads are written once (by the sender) and then copied — into
 /// the software buffer, into fault-injected duplicates, into the envelope a
-/// handler sees. Backing the words with an `Arc<[u32]>` makes every one of
+/// handler sees. Backing the words with an `Rc<[u32]>` makes every one of
 /// those copies a reference-count bump instead of a heap allocation, which
-/// matters because buffered delivery is the simulator's hottest path.
+/// matters because buffered delivery is the simulator's hottest path. Like
+/// the machine that carries it, a payload stays on one thread.
 ///
 /// `Payload` dereferences to `&[u32]`, so indexing, slicing and iteration
 /// work as they did when payloads were plain vectors.
@@ -93,12 +94,12 @@ impl std::fmt::Display for HandlerId {
 /// assert_eq!(p, [1, 2, 3]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Payload(Arc<[u32]>);
+pub struct Payload(Rc<[u32]>);
 
 impl Payload {
     /// The empty payload.
     pub fn empty() -> Self {
-        Payload(Arc::from([]))
+        Payload(Rc::from([]))
     }
 
     /// The words as a slice.
@@ -117,19 +118,19 @@ impl std::ops::Deref for Payload {
 
 impl From<Vec<u32>> for Payload {
     fn from(words: Vec<u32>) -> Self {
-        Payload(Arc::from(words))
+        Payload(Rc::from(words))
     }
 }
 
 impl From<&[u32]> for Payload {
     fn from(words: &[u32]) -> Self {
-        Payload(Arc::from(words))
+        Payload(Rc::from(words))
     }
 }
 
 impl<const N: usize> From<[u32; N]> for Payload {
     fn from(words: [u32; N]) -> Self {
-        Payload(Arc::from(words))
+        Payload(Rc::from(words))
     }
 }
 

@@ -12,9 +12,9 @@
 //! A [`FaultPlan`] is a set of knobs, all off by default. A
 //! [`FaultInjector`] is built from a plan plus a seed and handed to every
 //! instrumented layer; each injection point consults it through one method
-//! call that reduces to **a single relaxed atomic load when the plan is
-//! inert** — the same zero-cost-when-off discipline as [`crate::trace`].
-//! Randomness comes from per-site [`DetRng`](crate::rng::DetRng) streams
+//! call that reduces to **a single flag read when the plan is inert** — the
+//! same zero-cost-when-off discipline as [`crate::trace`].
+//! Randomness comes from per-site [`DetRng`] streams
 //! split from the seed, so enabling one fault class does not perturb the
 //! decisions of another.
 //!
@@ -38,16 +38,16 @@
 //! let plan = FaultPlan::parse("drop=1.0").unwrap();
 //! let inj = FaultInjector::new(plan, 42, 4);
 //! assert!(inj.is_active());
-//! assert_eq!(inj.on_send(0, 1), NetFault::Drop);
+//! assert_eq!(inj.on_send(), NetFault::Drop);
 //! assert_eq!(inj.counts().dropped, 1);
 //!
 //! let off = FaultInjector::disabled();
 //! assert!(!off.is_active());
-//! assert_eq!(off.on_send(0, 1), NetFault::Deliver);
+//! assert_eq!(off.on_send(), NetFault::Deliver);
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::rng::DetRng;
 use crate::Cycles;
@@ -230,7 +230,6 @@ pub struct FaultCounts {
 }
 
 struct State {
-    plan: FaultPlan,
     /// Independent decision streams so fault classes do not perturb each
     /// other: enabling quantum jitter must not reshuffle drop decisions.
     net: DetRng,
@@ -248,19 +247,20 @@ struct State {
 
 struct Inner {
     /// The only thing an injection site touches when the plan is inert.
-    active: AtomicBool,
-    state: Mutex<State>,
+    active: bool,
+    plan: FaultPlan,
+    state: RefCell<State>,
 }
 
 /// A shared handle to the fault-injection decision state.
 ///
-/// Cloning is cheap (an `Arc` bump); all clones share the plan, the
+/// Cloning is cheap (an `Rc` bump); all clones share the plan, the
 /// decision streams and the counters. Identical `(plan, seed)` pairs
 /// produce identical decision sequences, so a simulation run with faults
 /// is exactly as reproducible as one without.
 #[derive(Clone)]
 pub struct FaultInjector {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 impl std::fmt::Debug for FaultInjector {
@@ -284,7 +284,6 @@ impl FaultInjector {
         let active = plan.is_active();
         let mut master = DetRng::new(seed);
         let state = State {
-            plan,
             net: master.split(),
             net2: master.split(),
             nic: master.split(),
@@ -296,9 +295,10 @@ impl FaultInjector {
             counts: FaultCounts::default(),
         };
         FaultInjector {
-            inner: Arc::new(Inner {
-                active: AtomicBool::new(active),
-                state: Mutex::new(state),
+            inner: Rc::new(Inner {
+                active,
+                plan,
+                state: RefCell::new(state),
             }),
         }
     }
@@ -308,24 +308,24 @@ impl FaultInjector {
         FaultInjector::new(FaultPlan::default(), 0, 0)
     }
 
-    /// True if any fault class is enabled — one relaxed atomic load.
+    /// True if any fault class is enabled — one flag read.
     #[inline]
     pub fn is_active(&self) -> bool {
-        self.inner.active.load(Ordering::Relaxed)
+        self.inner.active
     }
 
-    /// Verdict for a message launched from `src` toward `dst`.
+    /// Verdict for the next message launch.
     ///
     /// Drop wins over duplicate wins over delay; each decision consumes
     /// the network stream in a fixed order so the sequence is a pure
     /// function of the seed and the launch order.
-    pub fn on_send(&self, _src: usize, _dst: usize) -> NetFault {
+    pub fn on_send(&self) -> NetFault {
         if !self.is_active() {
             return NetFault::Deliver;
         }
-        let mut st = self.inner.state.lock().unwrap();
+        let plan = &self.inner.plan;
+        let mut st = self.inner.state.borrow_mut();
         let roll = st.net.f64();
-        let plan = st.plan.clone();
         if roll < plan.drop {
             st.counts.dropped += 1;
             NetFault::Drop
@@ -345,11 +345,12 @@ impl FaultInjector {
         if !self.is_active() {
             return 0;
         }
-        let mut st = self.inner.state.lock().unwrap();
-        let p = st.plan.second_net_delay;
+        let plan = &self.inner.plan;
+        let mut st = self.inner.state.borrow_mut();
+        let p = plan.second_net_delay;
         if p > 0.0 && st.net2.chance(p) {
             st.counts.second_net_delays += 1;
-            st.plan.second_net_delay_cycles
+            plan.second_net_delay_cycles
         } else {
             0
         }
@@ -362,16 +363,16 @@ impl FaultInjector {
         if !self.is_active() {
             return None;
         }
-        let mut st = self.inner.state.lock().unwrap();
-        if st.plan.nic_stall <= 0.0 {
+        let plan = &self.inner.plan;
+        if plan.nic_stall <= 0.0 {
             return None;
         }
+        let mut st = self.inner.state.borrow_mut();
         if now < st.stall_until[node] {
             return Some(st.stall_until[node]);
         }
-        let p = st.plan.nic_stall;
-        if st.nic.chance(p) {
-            let until = now + st.plan.nic_stall_cycles;
+        if st.nic.chance(plan.nic_stall) {
+            let until = now + plan.nic_stall_cycles;
             st.stall_until[node] = until;
             st.counts.nic_stalls += 1;
             Some(until)
@@ -386,15 +387,16 @@ impl FaultInjector {
         if !self.is_active() {
             return false;
         }
-        let mut st = self.inner.state.lock().unwrap();
+        let plan = &self.inner.plan;
+        let mut st = self.inner.state.borrow_mut();
         if st.frame_burst_left.get(node).copied().unwrap_or(0) > 0 {
             st.frame_burst_left[node] -= 1;
             st.counts.frame_fails += 1;
             return true;
         }
-        let p = st.plan.frame_fail;
+        let p = plan.frame_fail;
         if p > 0.0 && st.vm.chance(p) {
-            st.frame_burst_left[node] = st.plan.frame_fail_burst.saturating_sub(1);
+            st.frame_burst_left[node] = plan.frame_fail_burst.saturating_sub(1);
             st.counts.frame_fails += 1;
             true
         } else {
@@ -402,16 +404,15 @@ impl FaultInjector {
         }
     }
 
-    /// Consulted before an interrupt-driven delivery at `node`: `true`
-    /// forces the handler to take a page fault, pushing the delivery onto
-    /// the buffered path.
-    pub fn handler_fault(&self, node: usize) -> bool {
+    /// Consulted before each interrupt-driven delivery: `true` forces the
+    /// handler to take a page fault, pushing the delivery onto the buffered
+    /// path.
+    pub fn handler_fault(&self) -> bool {
         if !self.is_active() {
             return false;
         }
-        let mut st = self.inner.state.lock().unwrap();
-        let p = st.plan.handler_fault;
-        let _ = node;
+        let p = self.inner.plan.handler_fault;
+        let mut st = self.inner.state.borrow_mut();
         if p > 0.0 && st.handler.chance(p) {
             st.counts.handler_faults += 1;
             true
@@ -420,25 +421,23 @@ impl FaultInjector {
         }
     }
 
-    /// Extra cycles of jitter for `node`'s next quantum switch, uniform in
+    /// Extra cycles of jitter for the next quantum switch, uniform in
     /// `[0, plan.quantum_jitter]`.
-    pub fn quantum_jitter(&self, node: usize) -> Cycles {
+    pub fn quantum_jitter(&self) -> Cycles {
         if !self.is_active() {
             return 0;
         }
-        let mut st = self.inner.state.lock().unwrap();
-        let j = st.plan.quantum_jitter;
-        let _ = node;
+        let j = self.inner.plan.quantum_jitter;
         if j == 0 {
             0
         } else {
-            st.sched.range_u64(0, j + 1)
+            self.inner.state.borrow_mut().sched.range_u64(0, j + 1)
         }
     }
 
     /// Snapshot of the fault totals injected so far.
     pub fn counts(&self) -> FaultCounts {
-        self.inner.state.lock().unwrap().counts
+        self.inner.state.borrow().counts
     }
 }
 
@@ -451,12 +450,12 @@ mod tests {
         assert!(!FaultPlan::default().is_active());
         let inj = FaultInjector::disabled();
         assert!(!inj.is_active());
-        assert_eq!(inj.on_send(0, 1), NetFault::Deliver);
+        assert_eq!(inj.on_send(), NetFault::Deliver);
         assert_eq!(inj.second_net_delay(), 0);
         assert_eq!(inj.nic_stall(0, 100), None);
         assert!(!inj.frame_fail(0));
-        assert!(!inj.handler_fault(0));
-        assert_eq!(inj.quantum_jitter(0), 0);
+        assert!(!inj.handler_fault());
+        assert_eq!(inj.quantum_jitter(), 0);
         assert_eq!(inj.counts(), FaultCounts::default());
     }
 
@@ -498,7 +497,7 @@ mod tests {
         let a = FaultInjector::new(plan.clone(), 7, 2);
         let b = FaultInjector::new(plan, 7, 2);
         for _ in 0..200 {
-            assert_eq!(a.on_send(0, 1), b.on_send(0, 1));
+            assert_eq!(a.on_send(), b.on_send());
         }
         assert_eq!(a.counts(), b.counts());
     }
@@ -508,7 +507,7 @@ mod tests {
         let plan = FaultPlan::parse("drop=0.25,dup=0.25").unwrap();
         let inj = FaultInjector::new(plan, 3, 2);
         for _ in 0..4_000 {
-            inj.on_send(0, 1);
+            inj.on_send();
         }
         let c = inj.counts();
         assert!((800..1200).contains(&c.dropped), "dropped {}", c.dropped);
@@ -548,7 +547,7 @@ mod tests {
         let plan = FaultPlan::parse("jitter=50").unwrap();
         let inj = FaultInjector::new(plan, 9, 4);
         for _ in 0..500 {
-            assert!(inj.quantum_jitter(0) <= 50);
+            assert!(inj.quantum_jitter() <= 50);
         }
     }
 
@@ -561,11 +560,11 @@ mod tests {
         // `a` interleaves handler queries; `b` does not.
         let seq_a: Vec<NetFault> = (0..50)
             .map(|_| {
-                a.handler_fault(0);
-                a.on_send(0, 1)
+                a.handler_fault();
+                a.on_send()
             })
             .collect();
-        let seq_b: Vec<NetFault> = (0..50).map(|_| b.on_send(0, 1)).collect();
+        let seq_b: Vec<NetFault> = (0..50).map(|_| b.on_send()).collect();
         assert_eq!(seq_a, seq_b);
     }
 }

@@ -26,7 +26,7 @@
 //!
 //! Profiling is pay-for-what-you-watch: nothing here runs unless a
 //! profiler is attached, and detaching is as simple as not attaching — the
-//! emission sites fall back to their single relaxed atomic load.
+//! emission sites fall back to their single `Cell` read.
 //!
 //! # Example
 //!
@@ -55,9 +55,10 @@
 //! assert_eq!(attr.total(), 40);
 //! ```
 
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::json::Json;
 use crate::stats::{Accum, Histogram};
@@ -666,7 +667,7 @@ impl SpanCollector {
 /// sink) is watching.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    collector: Arc<Mutex<SpanCollector>>,
+    collector: Rc<RefCell<SpanCollector>>,
 }
 
 impl Profiler {
@@ -679,7 +680,7 @@ impl Profiler {
     /// feed the same collector, so one profiler can observe several
     /// tracers if a harness wires them that way.
     pub fn attach(&self, tracer: &Tracer) {
-        let collector = Arc::clone(&self.collector);
+        let collector = Rc::clone(&self.collector);
         tracer.subscribe(
             CategoryMask::MSG
                 | CategoryMask::UPCALL
@@ -687,7 +688,7 @@ impl Profiler {
                 | CategoryMask::SCHED
                 | CategoryMask::SPAN,
             move |at, event| {
-                collector.lock().unwrap().on_event(at, event);
+                collector.borrow_mut().on_event(at, event);
             },
         );
     }
@@ -696,7 +697,7 @@ impl Profiler {
     /// keep receiving events afterwards, but they land in a fresh
     /// collection (the report is a snapshot-and-reset).
     pub fn finish(&self) -> ProfileReport {
-        std::mem::take(&mut *self.collector.lock().unwrap()).into_report()
+        self.collector.take().into_report()
     }
 }
 

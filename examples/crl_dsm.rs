@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release --example crl_dsm`
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use two_case_delivery::apps::lu::{LuApp, LuParams};
 use two_case_delivery::crl::Crl;
@@ -54,9 +54,9 @@ fn main() {
     });
     machine.add_job(JobSpec::new(
         "counter",
-        Arc::new(SharedCounter {
+        Rc::new(SharedCounter {
             crl: Crl::new(nodes),
-        }) as Arc<dyn Program>,
+        }) as Rc<dyn Program>,
     ));
     let report = machine.run();
     let job = report.job("counter");

@@ -7,7 +7,8 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use two_case_delivery::{Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
 
@@ -17,8 +18,8 @@ const PONG: u32 = 2;
 
 struct PingPong {
     /// Round-trip latencies measured on node 0.
-    rtts: Mutex<Vec<u64>>,
-    pongs: Mutex<u32>,
+    rtts: RefCell<Vec<u64>>,
+    pongs: Cell<u32>,
 }
 
 impl Program for PingPong {
@@ -28,10 +29,10 @@ impl Program for PingPong {
             for i in 0..ROUNDS {
                 let t0 = ctx.now();
                 ctx.send(1, PING, &[i]);
-                while *self.pongs.lock().unwrap() <= i {
+                while self.pongs.get() <= i {
                     ctx.compute(20);
                 }
-                self.rtts.lock().unwrap().push(ctx.now() - t0);
+                self.rtts.borrow_mut().push(ctx.now() - t0);
             }
         } else {
             // Polling side: disable interrupts and spin on the flag, the
@@ -52,29 +53,26 @@ impl Program for PingPong {
     fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
         match env.handler.0 {
             PING => ctx.send(env.src, PONG, &[]),
-            PONG => *self.pongs.lock().unwrap() += 1,
+            PONG => self.pongs.set(self.pongs.get() + 1),
             other => panic!("unexpected handler {other}"),
         }
     }
 }
 
 fn main() {
-    let app = Arc::new(PingPong {
-        rtts: Mutex::new(Vec::new()),
-        pongs: Mutex::new(0),
+    let app = Rc::new(PingPong {
+        rtts: RefCell::new(Vec::new()),
+        pongs: Cell::new(0),
     });
     let mut machine = Machine::new(MachineConfig {
         nodes: 2,
         ..Default::default()
     });
-    machine.add_job(JobSpec::new(
-        "pingpong",
-        Arc::clone(&app) as Arc<dyn Program>,
-    ));
+    machine.add_job(JobSpec::new("pingpong", Rc::clone(&app) as Rc<dyn Program>));
     let report = machine.run();
 
     let job = report.job("pingpong");
-    let rtts = app.rtts.lock().unwrap();
+    let rtts = app.rtts.borrow();
     let mean = rtts.iter().sum::<u64>() as f64 / rtts.len() as f64;
     println!("two-case delivery quickstart — {} ping-pong rounds", ROUNDS);
     println!("  messages sent:          {}", job.sent);

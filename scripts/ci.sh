@@ -66,4 +66,6 @@ for bin in table4 table5 table6 fig7 fig8 fig9 fig10 ablate; do
 done
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc gate: every intra-doc link resolves and none is redundant.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "ci: all checks passed"

@@ -10,7 +10,8 @@
 //! identical in all three. Only the delivery-path counters may differ, and
 //! the forced runs must prove they actually exercised the buffered path.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use two_case_delivery::sim::fault::FaultPlan;
 use two_case_delivery::udm::InvariantChecker;
@@ -32,14 +33,14 @@ const PER_SENDER: u32 = 40;
 /// software buffer and served from there on the next poll.
 struct DiffApp {
     hold: u64,
-    arrivals: Mutex<Vec<(u32, u32, u32)>>,
+    arrivals: RefCell<Vec<(u32, u32, u32)>>,
 }
 
 impl DiffApp {
     fn new(hold: u64) -> Self {
         DiffApp {
             hold,
-            arrivals: Mutex::new(Vec::new()),
+            arrivals: RefCell::new(Vec::new()),
         }
     }
 
@@ -54,8 +55,7 @@ impl DiffApp {
     /// Arrivals of one sender, in handler-invocation order.
     fn sender_view(&self, sender: u32) -> Vec<(u32, u32)> {
         self.arrivals
-            .lock()
-            .unwrap()
+            .borrow()
             .iter()
             .filter(|(s, _, _)| *s == sender)
             .map(|(_, seq, value)| (*seq, *value))
@@ -64,8 +64,7 @@ impl DiffApp {
 
     fn payload_sum(&self) -> u64 {
         self.arrivals
-            .lock()
-            .unwrap()
+            .borrow()
             .iter()
             .map(|(_, _, v)| u64::from(*v))
             .sum()
@@ -87,7 +86,7 @@ impl Program for DiffApp {
                 } else {
                     ctx.poll();
                 }
-                if self.arrivals.lock().unwrap().len() >= Self::expected_total() {
+                if self.arrivals.borrow().len() >= Self::expected_total() {
                     break;
                 }
                 ctx.compute(25);
@@ -107,7 +106,7 @@ impl Program for DiffApp {
         let [sender, seq, value] = env.payload[..] else {
             panic!("malformed payload: {:?}", env.payload);
         };
-        self.arrivals.lock().unwrap().push((sender, seq, value));
+        self.arrivals.borrow_mut().push((sender, seq, value));
     }
 }
 
@@ -118,7 +117,7 @@ struct RunOutcome {
 }
 
 fn run(config: MachineConfig, hold: u64) -> RunOutcome {
-    let app = Arc::new(DiffApp::new(hold));
+    let app = Rc::new(DiffApp::new(hold));
     let mut m = Machine::new(config);
     let checker = InvariantChecker::new();
     checker.attach(m.tracer());
