@@ -30,7 +30,9 @@ use std::path::PathBuf;
 use fugu_apps::{
     BarrierApp, BarrierParams, EnumApp, EnumParams, LuApp, LuParams, NullApp, SynthApp, SynthParams,
 };
-use fugu_bench::{parallel_map, stop_on_broken_pipe, write_output, Json, Table};
+use fugu_bench::{
+    flag_value, parallel_map, positive, stop_on_broken_pipe, write_output, Json, Table,
+};
 use fugu_sim::explore::{
     generate, shrink, Outcome, RunStatus, ScenarioSpec, ShrinkResult, WorkloadInfo,
 };
@@ -108,20 +110,13 @@ fn parse_opts(args: impl IntoIterator<Item = String>) -> Result<ExploreOpts, Str
     };
     let mut budget: Option<u32> = None;
     let mut args = args.into_iter();
-    fn value<T: std::str::FromStr>(
-        flag: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<T, String> {
-        args.next()
-            .ok_or_else(|| format!("{flag} needs a value"))?
-            .parse()
-            .map_err(|_| format!("{flag} wants an integer"))
-    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seed" => opts.seed = value("--seed", &mut args)?,
-            "--budget" => budget = Some(value("--budget", &mut args)?),
-            "--jobs" => opts.jobs = value("--jobs", &mut args)?,
+            "--seed" => opts.seed = flag_value("--seed", &mut args)?,
+            "--budget" => {
+                budget = Some(positive("--budget", flag_value("--budget", &mut args)?)?);
+            }
+            "--jobs" => opts.jobs = flag_value("--jobs", &mut args)?,
             "--json" => {
                 opts.json = Some(PathBuf::from(args.next().ok_or("--json needs a path")?));
             }

@@ -112,28 +112,15 @@ impl Opts {
             json: None,
         };
         let mut args = args.into_iter();
-        fn value<T: std::str::FromStr>(
-            flag: &str,
-            args: &mut impl Iterator<Item = String>,
-        ) -> Result<T, String> {
-            args.next()
-                .ok_or_else(|| format!("{flag} needs a value"))?
-                .parse()
-                .map_err(|_| format!("{flag} wants an integer"))
-        }
-        fn positive<T: PartialEq + From<u8>>(flag: &str, n: T) -> Result<T, String> {
-            if n == T::from(0) {
-                return Err(format!("{flag} wants a positive integer"));
-            }
-            Ok(n)
-        }
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => opts.quick = true,
-                "--nodes" => opts.nodes = positive("--nodes", value("--nodes", &mut args)?)?,
-                "--seed" => opts.seed = value("--seed", &mut args)?,
-                "--trials" => opts.trials = positive("--trials", value("--trials", &mut args)?)?,
-                "--jobs" => opts.jobs = value("--jobs", &mut args)?,
+                "--nodes" => opts.nodes = positive("--nodes", flag_value("--nodes", &mut args)?)?,
+                "--seed" => opts.seed = flag_value("--seed", &mut args)?,
+                "--trials" => {
+                    opts.trials = positive("--trials", flag_value("--trials", &mut args)?)?;
+                }
+                "--jobs" => opts.jobs = flag_value("--jobs", &mut args)?,
                 "--json" => {
                     opts.json = Some(PathBuf::from(args.next().ok_or("--json needs a path")?));
                 }
@@ -162,6 +149,26 @@ impl Opts {
             }
         }
     }
+}
+
+/// Parses the integer that follows `flag` on the command line. The error
+/// names the flag when the value is missing or is not an integer.
+pub fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    args.next()
+        .ok_or_else(|| format!("{flag} needs a value"))?
+        .parse()
+        .map_err(|_| format!("{flag} wants an integer"))
+}
+
+/// Passes `n` through unless it is zero, which `flag` does not accept.
+pub fn positive<T: PartialEq + From<u8>>(flag: &str, n: T) -> Result<T, String> {
+    if n == T::from(0) {
+        return Err(format!("{flag} wants a positive integer"));
+    }
+    Ok(n)
 }
 
 /// Makes a write to a closed stdout (`fig7 | head -1`) end the process

@@ -67,8 +67,12 @@ fn missing_value_exits_2() {
 
 #[test]
 fn zero_nodes_or_trials_exits_2_with_usage() {
-    for flag in ["--nodes", "--trials"] {
-        let out = fig7().args([flag, "0"]).output().expect("fig7 runs");
+    for (mut cmd, flag) in [
+        (fig7(), "--nodes"),
+        (fig7(), "--trials"),
+        (Command::new(env!("CARGO_BIN_EXE_explore")), "--budget"),
+    ] {
+        let out = cmd.args([flag, "0"]).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{flag} 0");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(

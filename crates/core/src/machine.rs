@@ -16,6 +16,11 @@
 //!   message waiting starts the atomicity timer; expiry revokes physical
 //!   atomicity and switches the process to buffered mode.
 //!
+//! Each delivery case has one take path, which upcalls, `poll`,
+//! `poll_extract` and scheduler replay share: `take_fast` for the NIC and
+//! `take_buffered` for the software buffer. `reads_buffer` is the single
+//! transparent-access decision of which one a receive uses.
+//!
 //! Execution model: simulated programs run on sim-threads (one main thread
 //! and one handler context per process per node). The machine's event loop
 //! processes network arrivals, compute completions, atomicity timeouts and
@@ -104,8 +109,8 @@ struct ThreadSlot {
     state: TState,
 }
 
-/// How the currently executing handler was entered, which determines the
-/// completion charge.
+/// How a handler dispatch was entered, which determines the completion
+/// charge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum UpcallKind {
     /// Message-available user interrupt (Table 4 pre/post costs).
@@ -116,6 +121,17 @@ enum UpcallKind {
     /// Replay from the software buffer (Table 5 costs, charged at
     /// dispatch).
     Buffered,
+}
+
+/// The handler dispatch in flight on a process.
+#[derive(Debug, Clone, Copy)]
+struct Upcall {
+    kind: UpcallKind,
+    /// When the dispatch began; the handler's cycles are measured from here.
+    start: Cycles,
+    /// Uid of the message being serviced (profiler bookkeeping only; echoed
+    /// in [`TraceEvent::HandlerDone`]).
+    uid: u64,
 }
 
 /// Delivery mode of a process (the "case" of two-case delivery).
@@ -135,13 +151,7 @@ struct Proc {
     /// User-level atomicity intent (persists across descheduling; mirrored
     /// into the NIC's interrupt-disable bit while scheduled).
     atomic: bool,
-    /// A handler dispatch is in flight on this process.
-    in_upcall: bool,
-    upcall_kind: UpcallKind,
-    upcall_start: Cycles,
-    /// Uid of the message the in-flight handler dispatch is servicing
-    /// (profiler bookkeeping only; echoed in [`TraceEvent::HandlerDone`]).
-    upcall_uid: u64,
+    upcall: Option<Upcall>,
     wake_permits: HashMap<u32, u32>,
     /// Demand-zero heap pages already faulted in.
     heap_pages: std::collections::HashSet<u32>,
@@ -340,17 +350,19 @@ impl Machine {
         }
         let nnodes = self.cfg.nodes;
         let seed = self.cfg.seed;
+        let faults = self.faults.is_active();
         for n in 0..nnodes {
             let program = Rc::clone(&spec.program);
             let main_seed = mix_seed(seed, job, n, 0);
             let main = self.coro.spawn(move |co| {
-                let mut ctx = UserCtx::new(co, n, nnodes, job, CtxKind::Main, main_seed);
+                let mut ctx = UserCtx::new(co, n, nnodes, job, CtxKind::Main, main_seed, faults);
                 program.main(&mut ctx);
             });
             let program = Rc::clone(&spec.program);
             let handler_seed = mix_seed(seed, job, n, 1);
             let handler = self.coro.spawn(move |co| {
-                let mut ctx = UserCtx::new(co, n, nnodes, job, CtxKind::Handler, handler_seed);
+                let mut ctx =
+                    UserCtx::new(co, n, nnodes, job, CtxKind::Handler, handler_seed, faults);
                 loop {
                     let env = ctx.await_upcall();
                     program.handler(&mut ctx, &env);
@@ -368,10 +380,7 @@ impl Machine {
                 mode: DeliveryMode::Fast,
                 vbuf: VirtualBuffer::new(self.cfg.costs.page_size_bytes),
                 atomic: false,
-                in_upcall: false,
-                upcall_kind: UpcallKind::Interrupt,
-                upcall_start: 0,
-                upcall_uid: 0,
+                upcall: None,
                 wake_permits: HashMap::new(),
                 heap_pages: std::collections::HashSet::new(),
             });
@@ -507,7 +516,11 @@ impl Machine {
                     ("handler", Json::from(thread_state(&p.handler.state))),
                     ("buffered_msgs", Json::from(p.vbuf.len())),
                     ("atomic", Json::from(p.atomic)),
-                    ("in_upcall", Json::from(p.in_upcall)),
+                    (
+                        "upcall",
+                        p.upcall
+                            .map_or(Json::Null, |u| Json::from(format!("{:?}", u.kind))),
+                    ),
                 ])
             });
             Json::object([
@@ -559,8 +572,24 @@ impl Machine {
             self.queue.schedule(until, Ev::StallEnd { node: n });
             return;
         }
-        // The NIC emits `TraceEvent::MsgArrive` when the message enters its
-        // queue; backlogged messages are traced on admission, not here.
+        self.admit(n, msg);
+        self.schedule_node(n);
+    }
+
+    /// Admits the arrivals a lapsed stall window was holding, in arrival
+    /// order. Held messages are not re-rolled against the stall plan — the
+    /// window already deferred them once.
+    fn on_stall_end(&mut self, n: NodeId) {
+        while let Some(msg) = self.nodes[n].stall_q.pop_front() {
+            self.admit(n, msg);
+        }
+        self.schedule_node(n);
+    }
+
+    /// Moves an arrival into the NIC queue. The NIC emits
+    /// `TraceEvent::MsgArrive` when the message enters its queue, so a
+    /// backlogged message is traced on admission, not here.
+    fn admit(&mut self, n: NodeId, msg: Message) {
         let node = &mut self.nodes[n];
         if node.backlog.is_empty() && !node.nic.queue_full() {
             node.nic.enqueue(msg).expect("queue_full was checked");
@@ -570,23 +599,6 @@ impl Machine {
             // preserving FIFO order behind earlier held messages.
             node.backlog.push_back(msg);
         }
-        self.schedule_node(n);
-    }
-
-    /// Admits the arrivals a lapsed stall window was holding, in arrival
-    /// order. Held messages are not re-rolled against the stall plan — the
-    /// window already deferred them once.
-    fn on_stall_end(&mut self, n: NodeId) {
-        while let Some(msg) = self.nodes[n].stall_q.pop_front() {
-            let node = &mut self.nodes[n];
-            if node.backlog.is_empty() && !node.nic.queue_full() {
-                node.nic.enqueue(msg).expect("queue_full was checked");
-                self.net.deliver(n);
-            } else {
-                node.backlog.push_back(msg);
-            }
-        }
-        self.schedule_node(n);
     }
 
     fn on_advance_done(&mut self, n: NodeId, job: usize, which: Which) {
@@ -621,7 +633,7 @@ impl Machine {
             // to revocation when the handler context is unavailable.
             let can_force = self.nodes[n].nic.message_available()
                 && matches!(self.nodes[n].procs[j].handler.state, TState::AwaitUpcall)
-                && !self.nodes[n].procs[j].in_upcall;
+                && self.nodes[n].procs[j].upcall.is_none();
             if can_force {
                 self.jobs[j].watchdog_fires += 1;
                 self.tracer
@@ -673,7 +685,7 @@ impl Machine {
         node.nic.set_gid(self.jobs[new_job].gid);
         let incoming = &node.procs[new_job];
         let divert = incoming.mode == DeliveryMode::Buffered;
-        let disable = incoming.atomic || incoming.in_upcall;
+        let disable = incoming.atomic || incoming.upcall.is_some();
         node.nic.set_divert(divert);
         // Restore the incoming process's atomicity state into the hardware.
         if disable {
@@ -734,7 +746,7 @@ impl Machine {
                 if proc.mode == DeliveryMode::Buffered
                     && !proc.vbuf.is_empty()
                     && !proc.atomic
-                    && !proc.in_upcall
+                    && proc.upcall.is_none()
                     && matches!(proc.handler.state, TState::AwaitUpcall)
                 {
                     self.preempt_active(n);
@@ -746,7 +758,10 @@ impl Machine {
             //    been handled.
             {
                 let proc = &self.nodes[n].procs[j];
-                if proc.mode == DeliveryMode::Buffered && proc.vbuf.is_empty() && !proc.in_upcall {
+                if proc.mode == DeliveryMode::Buffered
+                    && proc.vbuf.is_empty()
+                    && proc.upcall.is_none()
+                {
                     self.tracer
                         .emit_with(CategoryMask::MODE, || TraceEvent::ModeExit {
                             node: n,
@@ -762,7 +777,7 @@ impl Machine {
                 self.nodes[n].nic.head_disposition(),
                 Some(HeadDisposition::UserInterrupt)
             ) && matches!(self.nodes[n].procs[j].handler.state, TState::AwaitUpcall)
-                && !self.nodes[n].procs[j].in_upcall
+                && self.nodes[n].procs[j].upcall.is_none()
             {
                 // Injected handler page fault: the upcall would fault on
                 // entry, so the OS charges the fault and switches the
@@ -789,17 +804,7 @@ impl Machine {
             //    outranks the main thread.
             if self.nodes[n].active.is_none() {
                 if matches!(self.nodes[n].procs[j].handler.state, TState::Ready(_)) {
-                    let resp = match std::mem::replace(
-                        &mut self.nodes[n].procs[j].handler.state,
-                        TState::AwaitUpcall, // placeholder; run_burst sets the real state
-                    ) {
-                        TState::Ready(r) => r,
-                        _ => unreachable!(),
-                    };
-                    let now = self.queue.now();
-                    let node = &mut self.nodes[n];
-                    node.free_at = node.free_at.max(now);
-                    self.run_burst(n, j, Which::Handler, resp);
+                    self.resume_ready(n, j, Which::Handler);
                     continue;
                 }
                 if let TState::PausedCompute { remaining } = self.nodes[n].procs[j].handler.state {
@@ -813,17 +818,7 @@ impl Machine {
                             continue;
                         }
                         TState::Ready(_) => {
-                            let resp = match std::mem::replace(
-                                &mut self.nodes[n].procs[j].main.state,
-                                TState::Done, // placeholder; run_burst sets the real state
-                            ) {
-                                TState::Ready(r) => r,
-                                _ => unreachable!(),
-                            };
-                            let now = self.queue.now();
-                            let node = &mut self.nodes[n];
-                            node.free_at = node.free_at.max(now);
-                            self.run_burst(n, j, Which::Main, resp);
+                            self.resume_ready(n, j, Which::Main);
                             continue;
                         }
                         TState::PausedCompute { remaining } => {
@@ -837,6 +832,21 @@ impl Machine {
             break;
         }
         self.reconcile_timer(n);
+    }
+
+    /// Runs a `Ready` thread on the processor with its pending response.
+    fn resume_ready(&mut self, n: NodeId, j: usize, which: Which) {
+        let now = self.queue.now();
+        let node = &mut self.nodes[n];
+        // The placeholder state is never observed: run_burst records the
+        // real state before the thread's burst ends.
+        let TState::Ready(resp) =
+            std::mem::replace(&mut slot_mut(&mut node.procs[j], which).state, TState::Done)
+        else {
+            unreachable!("resume_ready on a thread that is not Ready")
+        };
+        node.free_at = node.free_at.max(now);
+        self.run_burst(n, j, which, resp);
     }
 
     /// Reschedules a paused compute on the now-free processor.
@@ -998,41 +1008,18 @@ impl Machine {
 
     /// Fast-path user-level interrupt delivery (Figure 2's timeline).
     fn dispatch_upcall(&mut self, n: NodeId, j: usize) {
-        let now = self.queue.now();
-        let env;
-        let t;
-        let uid;
-        {
-            let node = &mut self.nodes[n];
-            let msg = node
-                .nic
-                .dispose(Mode::User)
-                .expect("head was a matching user message");
-            let words = msg.payload().len();
-            uid = msg.uid();
-            t = node.free_at.max(now);
-            // Charge the interrupt entry sequence plus the handler's
-            // minimum (dispose + per-word reads); the handler body's own
-            // `compute` comes on top. An empty body therefore costs exactly
-            // Table 4's interrupt total (87 cycles at hard atomicity).
-            let pre = self.cfg.costs.rx_interrupt.pre()
-                + self.cfg.costs.null_handler
-                + self.cfg.costs.rx_per_word * words as Cycles;
-            node.free_at = t + pre;
-            // Handlers begin in an atomic section.
-            node.nic.kernel_set_uac(UacMask::INTERRUPT_DISABLE);
-            env = Envelope {
-                src: msg.src(),
-                handler: msg.handler(),
-                payload: msg.payload_shared(),
-            };
-        }
-        let proc = &mut self.nodes[n].procs[j];
-        proc.in_upcall = true;
-        proc.upcall_kind = UpcallKind::Interrupt;
-        proc.upcall_start = t;
-        proc.upcall_uid = uid;
-        self.jobs[j].fast += 1;
+        let start = self.nodes[n].free_at.max(self.queue.now());
+        self.nodes[n].free_at = start;
+        // Charge the interrupt entry sequence plus the handler's minimum
+        // (dispose + per-word reads); the handler body's own `compute` comes
+        // on top. An empty body therefore costs exactly Table 4's interrupt
+        // total (87 cycles at hard atomicity).
+        let entry = self.cfg.costs.rx_interrupt.pre() + self.cfg.costs.null_handler;
+        let (env, uid) = self
+            .take_fast(n, j, entry)
+            .expect("head was a matching user message");
+        // Handlers begin in an atomic section.
+        self.nodes[n].nic.kernel_set_uac(UacMask::INTERRUPT_DISABLE);
         self.tracer
             .emit_with(CategoryMask::UPCALL, || TraceEvent::FastUpcall {
                 node: n,
@@ -1041,53 +1028,77 @@ impl Machine {
                 uid,
             });
         self.reset_timer(n);
-        self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
+        self.run_handler(n, j, UpcallKind::Interrupt, start, (env, uid));
     }
 
     /// Buffered-path replay: pop the software buffer and run the handler
-    /// with Table 5 extraction costs (Figure 5's timeline).
+    /// (Figure 5's timeline).
     fn dispatch_buffered(&mut self, n: NodeId, j: usize) {
-        let now = self.queue.now();
-        let env;
-        let t;
-        let swapped;
-        let uid;
-        {
-            let node = &mut self.nodes[n];
-            let frames = &mut node.frames;
-            let proc = &mut node.procs[j];
-            let (msg, was_swapped) = proc.vbuf.pop(frames).expect("vbuf nonempty");
-            let words = msg.payload().len();
-            swapped = was_swapped;
-            uid = msg.uid();
-            t = node.free_at.max(now);
-            let mut cost = self.cfg.costs.buf_extract_total(words);
-            if was_swapped {
-                cost += self.swap_cost;
-            }
-            node.free_at = t + cost;
-            proc.in_upcall = true;
-            proc.upcall_kind = UpcallKind::Buffered;
-            proc.upcall_start = t;
-            proc.upcall_uid = uid;
-            env = Envelope {
-                src: msg.src(),
-                handler: msg.handler(),
-                payload: msg.payload_shared(),
-            };
+        let start = self.nodes[n].free_at.max(self.queue.now());
+        self.nodes[n].free_at = start;
+        let taken = self.take_buffered(n, j).expect("vbuf nonempty");
+        self.run_handler(n, j, UpcallKind::Buffered, start, taken);
+    }
+
+    /// Whether a receive by process `j` on node `n` reads the software
+    /// buffer rather than the NIC: the one transparent-access decision
+    /// (§4.3). A process in buffered mode, or one that is not scheduled,
+    /// finds its messages in the buffer.
+    fn reads_buffer(&self, n: NodeId, j: usize) -> bool {
+        let node = &self.nodes[n];
+        node.procs[j].mode == DeliveryMode::Buffered || node.cur_job != j
+    }
+
+    /// The fast case's take: dispose the head message straight out of the
+    /// NIC, charging `extra` plus the per-word reads (Table 4). `None` when
+    /// no message is available to the user.
+    fn take_fast(&mut self, n: NodeId, j: usize, extra: Cycles) -> Option<(Envelope, u64)> {
+        let node = &mut self.nodes[n];
+        if !node.nic.message_available() {
+            return None;
         }
+        let msg = node.nic.dispose(Mode::User).expect("flag checked");
+        let words = msg.payload().len() as Cycles;
+        node.free_at += extra + self.cfg.costs.rx_per_word * words;
+        self.jobs[j].fast += 1;
+        Some((Envelope::from(&msg), msg.uid()))
+    }
+
+    /// The buffered case's take: pop the software buffer, charging Table 5's
+    /// extraction cost plus a page-in over the second network when the
+    /// message was swapped out. `None` when the buffer is empty.
+    fn take_buffered(&mut self, n: NodeId, j: usize) -> Option<(Envelope, u64)> {
+        let node = &mut self.nodes[n];
+        let (msg, swapped) = node.procs[j].vbuf.pop(&mut node.frames)?;
+        let words = msg.payload().len();
+        node.free_at += self.cfg.costs.buf_extract_total(words);
         if swapped {
-            self.nodes[n].free_at += self.faults.second_net_delay();
+            node.free_at += self.swap_cost + self.faults.second_net_delay();
         }
+        let uid = msg.uid();
         self.tracer
             .emit_with(CategoryMask::BUFFER, || TraceEvent::BufferExtract {
                 node: n,
                 job: j,
-                words: env.payload.len(),
+                words,
                 swapped,
                 uid,
             });
         self.maybe_unsuspend(n, j);
+        Some((Envelope::from(&msg), uid))
+    }
+
+    /// Records the dispatch of message `uid` as in flight on the process
+    /// and runs the handler on `env`.
+    fn run_handler(
+        &mut self,
+        n: NodeId,
+        j: usize,
+        kind: UpcallKind,
+        start: Cycles,
+        (env, uid): (Envelope, u64),
+    ) {
+        self.nodes[n].procs[j].upcall = Some(Upcall { kind, start, uid });
         self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
     }
 
@@ -1248,7 +1259,7 @@ impl Machine {
                 let node = &mut self.nodes[n];
                 node.free_at += 1;
                 node.procs[j].atomic = false;
-                if node.cur_job == j && !node.procs[j].in_upcall {
+                if node.cur_job == j && node.procs[j].upcall.is_none() {
                     node.nic.kernel_clear_uac(UacMask::INTERRUPT_DISABLE);
                 }
                 self.reconcile_timer(n);
@@ -1318,31 +1329,20 @@ impl Machine {
                 Some(SimResp::Ok)
             }
 
-            SimCall::FaultsActive => Some(SimResp::Bool(self.faults.is_active())),
-
             SimCall::PollExtract => {
                 let e = self.do_poll_extract(n, j);
                 Some(SimResp::Extract(e))
             }
 
             SimCall::Peek => {
-                let node = &mut self.nodes[n];
-                node.free_at += self.cfg.costs.poll_check;
-                let env = if node.procs[j].mode == DeliveryMode::Buffered || node.cur_job != j {
-                    // Transparent access: peek the software buffer.
-                    node.procs[j].vbuf.peek().map(|m| Envelope {
-                        src: m.src(),
-                        handler: m.handler(),
-                        payload: m.payload_shared(),
-                    })
+                self.nodes[n].free_at += self.cfg.costs.poll_check;
+                let node = &self.nodes[n];
+                let head = if self.reads_buffer(n, j) {
+                    node.procs[j].vbuf.peek()
                 } else {
-                    node.nic.peek().map(|m| Envelope {
-                        src: m.src(),
-                        handler: m.handler(),
-                        payload: m.payload_shared(),
-                    })
+                    node.nic.peek()
                 };
-                Some(SimResp::Extract(env))
+                Some(SimResp::Extract(head.map(Envelope::from)))
             }
 
             SimCall::TouchPage(page) => {
@@ -1371,7 +1371,7 @@ impl Machine {
                     }
                     node.report.peak_frames = node.report.peak_frames.max(node.frames.peak_used());
                     node.procs[j].heap_pages.insert(page);
-                    if self.nodes[n].procs[j].in_upcall {
+                    if self.nodes[n].procs[j].upcall.is_some() {
                         self.enter_buffered(n, j);
                     }
                 }
@@ -1380,12 +1380,13 @@ impl Machine {
 
             SimCall::PollDispatch => {
                 assert_eq!(which, Which::Main, "handler context cannot poll-dispatch");
-                match self.do_poll_dispatch(n, j) {
-                    PollOutcome::Empty => Some(SimResp::Bool(false)),
+                if self.do_poll_dispatch(n, j) {
                     // The main thread parks until the dispatched handler
                     // completes; do_poll_dispatch recorded WaitingPoll (or
                     // the handler already completed and made it Ready).
-                    PollOutcome::Dispatched => None,
+                    None
+                } else {
+                    Some(SimResp::Bool(false))
                 }
             }
 
@@ -1500,166 +1501,38 @@ impl Machine {
     /// `extract` against whichever delivery case is active — the essence of
     /// transparent access (§4.3).
     fn do_poll_extract(&mut self, n: NodeId, j: usize) -> Option<Envelope> {
-        let poll_check = self.cfg.costs.poll_check;
-        let via_buffer = {
-            let node = &mut self.nodes[n];
-            node.free_at += poll_check;
-            node.procs[j].mode == DeliveryMode::Buffered || node.cur_job != j
-        };
-        if via_buffer {
-            // Transparent: the base register points at the software buffer.
-            let swapped;
-            let uid;
-            let env = {
-                let node = &mut self.nodes[n];
-                let frames = &mut node.frames;
-                let proc = &mut node.procs[j];
-                let (msg, was_swapped) = proc.vbuf.pop(frames)?;
-                let words = msg.payload().len();
-                swapped = was_swapped;
-                uid = msg.uid();
-                let mut cost = self.cfg.costs.buf_extract_total(words);
-                if was_swapped {
-                    cost += self.swap_cost;
-                }
-                node.free_at += cost;
-                Envelope {
-                    src: msg.src(),
-                    handler: msg.handler(),
-                    payload: msg.payload_shared(),
-                }
-            };
-            if swapped {
-                self.nodes[n].free_at += self.faults.second_net_delay();
-            }
-            self.tracer
-                .emit_with(CategoryMask::BUFFER, || TraceEvent::BufferExtract {
-                    node: n,
-                    job: j,
-                    words: env.payload.len(),
-                    swapped,
-                    uid,
-                });
-            self.maybe_unsuspend(n, j);
-            Some(env)
-        } else {
-            let uid;
-            let env = {
-                let node = &mut self.nodes[n];
-                if !node.nic.message_available() {
-                    return None;
-                }
-                let msg = node.nic.dispose(Mode::User).expect("flag checked");
-                let words = msg.payload().len();
-                uid = msg.uid();
-                node.free_at += self.cfg.costs.rx_per_word * words as Cycles;
-                Envelope {
-                    src: msg.src(),
-                    handler: msg.handler(),
-                    payload: msg.payload_shared(),
-                }
-            };
-            self.jobs[j].fast += 1;
-            self.tracer
-                .emit_with(CategoryMask::UPCALL, || TraceEvent::PollDelivery {
-                    node: n,
-                    job: j,
-                    words: env.payload.len(),
-                    uid,
-                });
-            self.reset_timer(n);
-            Some(env)
+        self.nodes[n].free_at += self.cfg.costs.poll_check;
+        if self.reads_buffer(n, j) {
+            return self.take_buffered(n, j).map(|(env, _)| env);
         }
+        let (env, uid) = self.take_fast(n, j, 0)?;
+        self.tracer
+            .emit_with(CategoryMask::UPCALL, || TraceEvent::PollDelivery {
+                node: n,
+                job: j,
+                words: env.payload.len(),
+                uid,
+            });
+        self.reset_timer(n);
+        Some(env)
     }
 
-    fn do_poll_dispatch(&mut self, n: NodeId, j: usize) -> PollOutcome {
-        let poll_check = self.cfg.costs.poll_check;
-        let via_buffer = {
-            let node = &mut self.nodes[n];
-            node.free_at += poll_check;
-            node.procs[j].mode == DeliveryMode::Buffered || node.cur_job != j
-        };
-        if via_buffer {
-            let env;
-            let t;
-            let swapped;
-            let uid;
-            {
-                let node = &mut self.nodes[n];
-                let frames = &mut node.frames;
-                let proc = &mut node.procs[j];
-                let Some((msg, was_swapped)) = proc.vbuf.pop(frames) else {
-                    return PollOutcome::Empty;
-                };
-                swapped = was_swapped;
-                uid = msg.uid();
-                let words = msg.payload().len();
-                t = node.free_at;
-                let mut cost = self.cfg.costs.buf_extract_total(words);
-                if was_swapped {
-                    cost += self.swap_cost;
-                }
-                node.free_at += cost;
-                proc.in_upcall = true;
-                proc.upcall_kind = UpcallKind::Buffered;
-                proc.upcall_start = t;
-                proc.upcall_uid = uid;
-                // Park the polling main *before* the handler runs: the
-                // handler may complete synchronously inside this call, and
-                // its completion is what re-readies the main thread.
-                proc.main.state = TState::WaitingPoll;
-                env = Envelope {
-                    src: msg.src(),
-                    handler: msg.handler(),
-                    payload: msg.payload_shared(),
-                };
-            }
-            if swapped {
-                self.nodes[n].free_at += self.faults.second_net_delay();
-            }
-            self.tracer
-                .emit_with(CategoryMask::BUFFER, || TraceEvent::BufferExtract {
-                    node: n,
-                    job: j,
-                    words: env.payload.len(),
-                    swapped,
-                    uid,
-                });
-            self.maybe_unsuspend(n, j);
-            self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
-            PollOutcome::Dispatched
+    /// `poll`: runs the handler on the next message of whichever delivery
+    /// case is active; `false` when there is none.
+    fn do_poll_dispatch(&mut self, n: NodeId, j: usize) -> bool {
+        self.nodes[n].free_at += self.cfg.costs.poll_check;
+        let start = self.nodes[n].free_at;
+        let (kind, taken) = if self.reads_buffer(n, j) {
+            let Some(taken) = self.take_buffered(n, j) else {
+                return false;
+            };
+            (UpcallKind::Buffered, taken)
         } else {
-            let env;
-            let t;
-            let uid;
-            {
-                let node = &mut self.nodes[n];
-                if !node.nic.message_available() {
-                    return PollOutcome::Empty;
-                }
-                let msg = node.nic.dispose(Mode::User).expect("flag checked");
-                let words = msg.payload().len();
-                uid = msg.uid();
-                t = node.free_at;
-                node.free_at += self.cfg.costs.poll_dispatch
-                    + self.cfg.costs.poll_null_handler
-                    + self.cfg.costs.rx_per_word * words as Cycles;
-                node.nic.kernel_set_uac(UacMask::INTERRUPT_DISABLE);
-                let proc = &mut node.procs[j];
-                proc.in_upcall = true;
-                proc.upcall_kind = UpcallKind::Poll;
-                proc.upcall_start = t;
-                proc.upcall_uid = uid;
-                // Park the polling main before the handler runs (see the
-                // buffered branch above).
-                proc.main.state = TState::WaitingPoll;
-                env = Envelope {
-                    src: msg.src(),
-                    handler: msg.handler(),
-                    payload: msg.payload_shared(),
-                };
-            }
-            self.jobs[j].fast += 1;
+            let dispatch = self.cfg.costs.poll_dispatch + self.cfg.costs.poll_null_handler;
+            let Some((env, uid)) = self.take_fast(n, j, dispatch) else {
+                return false;
+            };
+            self.nodes[n].nic.kernel_set_uac(UacMask::INTERRUPT_DISABLE);
             self.tracer
                 .emit_with(CategoryMask::UPCALL, || TraceEvent::PollDelivery {
                     node: n,
@@ -1668,20 +1541,23 @@ impl Machine {
                     uid,
                 });
             self.reset_timer(n);
-            self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
-            PollOutcome::Dispatched
-        }
+            (UpcallKind::Poll, (env, uid))
+        };
+        // Park the polling main *before* the handler runs: the handler may
+        // complete synchronously inside this call, and its completion is
+        // what re-readies the main thread.
+        self.nodes[n].procs[j].main.state = TState::WaitingPoll;
+        self.run_handler(n, j, kind, start, taken);
+        true
     }
 
     fn on_handler_complete(&mut self, n: NodeId, j: usize) {
-        let (kind, start, uid) = {
-            let proc = &mut self.nodes[n].procs[j];
-            if !proc.in_upcall {
-                return; // initial AwaitUpcall at startup
-            }
-            proc.in_upcall = false;
-            (proc.upcall_kind, proc.upcall_start, proc.upcall_uid)
-        };
+        // The handler context's first AwaitUpcall is serviced by
+        // start_handler_loop, so every one that reaches here ends a dispatch.
+        let Upcall { kind, start, uid } = self.nodes[n].procs[j]
+            .upcall
+            .take()
+            .expect("a handler completes only a dispatch in flight");
         if kind == UpcallKind::Interrupt {
             self.nodes[n].free_at += self.cfg.costs.rx_interrupt.post();
         }
@@ -1792,11 +1668,6 @@ impl Machine {
             events_processed: self.events_processed,
         }
     }
-}
-
-enum PollOutcome {
-    Empty,
-    Dispatched,
 }
 
 fn slot_mut(proc: &mut Proc, which: Which) -> &mut ThreadSlot {

@@ -13,7 +13,7 @@
 //! software buffer in virtual memory (buffered case). The machine switches
 //! between the two cases freely; user code cannot tell, except by timing.
 
-use fugu_net::{HandlerId, NodeId, Payload};
+use fugu_net::{HandlerId, Message, NodeId, Payload};
 use fugu_sim::coro::CoCtx;
 use fugu_sim::rng::DetRng;
 use fugu_sim::Cycles;
@@ -33,6 +33,16 @@ pub struct Envelope {
     pub handler: HandlerId,
     /// Payload words.
     pub payload: Payload,
+}
+
+impl From<&Message> for Envelope {
+    fn from(msg: &Message) -> Self {
+        Envelope {
+            src: msg.src(),
+            handler: msg.handler(),
+            payload: msg.payload_shared(),
+        }
+    }
 }
 
 /// Requests a sim-thread can make of the machine. Application code never
@@ -88,10 +98,6 @@ pub enum SimCall {
     },
     /// Wake the main thread if blocked on the key (otherwise bank a permit).
     Wake(u32),
-    /// Ask whether the machine is running with an active fault-injection
-    /// plan. Programs use this to gate retry/timeout machinery so that
-    /// fault-free runs take exactly the pre-fault-injection code path.
-    FaultsActive,
     /// Read the current simulated time.
     Now,
     /// Handler context only: report completion of the previous handler and
@@ -168,6 +174,7 @@ pub struct UserCtx<'a> {
     job: usize,
     kind: CtxKind,
     rng: DetRng,
+    faults_active: bool,
 }
 
 impl std::fmt::Debug for UserCtx<'_> {
@@ -192,6 +199,7 @@ impl<'a> UserCtx<'a> {
         job: usize,
         kind: CtxKind,
         seed: u64,
+        faults_active: bool,
     ) -> Self {
         UserCtx {
             co,
@@ -200,6 +208,7 @@ impl<'a> UserCtx<'a> {
             job,
             kind,
             rng: DetRng::new(seed),
+            faults_active,
         }
     }
 
@@ -393,15 +402,13 @@ impl<'a> UserCtx<'a> {
         }
     }
 
-    /// Whether the machine is running with an active fault-injection plan.
-    /// Programs gate their retry/timeout machinery on this so that
-    /// fault-free runs are byte-identical to builds predating fault
-    /// injection.
-    pub fn faults_active(&mut self) -> bool {
-        match self.co.call(SimCall::FaultsActive) {
-            SimResp::Bool(b) => b,
-            other => unreachable!("bad response to FaultsActive: {other:?}"),
-        }
+    /// Whether the machine runs with an active fault-injection plan: a
+    /// value fixed when the machine is built, so reading it costs no
+    /// simulated time and no call into the machine. Programs gate their
+    /// retry/timeout machinery on this so that fault-free runs are
+    /// byte-identical to builds predating fault injection.
+    pub fn faults_active(&self) -> bool {
+        self.faults_active
     }
 
     /// Wakes the main thread blocked on `key` (or banks a permit).

@@ -167,6 +167,124 @@ fn table4_per_word_receive_cost() {
     assert_eq!(r.job("words").handler_cycles.mean(), 87.0 + 8.0);
 }
 
+/// How node 1 receives the one message node 0 sends it.
+#[derive(Debug, Clone, Copy)]
+enum Rx {
+    /// `poll()`: the handler runs on the polling main's behalf.
+    Poll,
+    /// `poll_extract()`: the message is returned raw.
+    Extract,
+    /// `end_atomic()`, then the scheduler replays the software buffer.
+    Replay,
+}
+
+const RX_PAYLOAD: [u32; 5] = [1, 2, 3, 4, 5];
+
+struct RxCost {
+    rx: Rx,
+    /// Stay atomic past the atomicity timeout, so the message is revoked
+    /// into the software buffer before node 1 receives it.
+    revoke: bool,
+    /// Cycles of the receive call, read with `ctx.now()` around it.
+    took: Cell<Option<u64>>,
+}
+
+impl Program for RxCost {
+    fn main(&self, ctx: &mut UserCtx<'_>) {
+        if ctx.node() == 0 {
+            ctx.send(1, 0, &RX_PAYLOAD);
+            return;
+        }
+        ctx.begin_atomic();
+        ctx.compute(if self.revoke { 100_000 } else { 2_000 });
+        let t0 = ctx.now();
+        match self.rx {
+            Rx::Poll => assert!(ctx.poll(), "the message is waiting"),
+            Rx::Extract => {
+                let env = ctx.poll_extract().expect("the message is waiting");
+                assert_eq!(env.payload, RX_PAYLOAD);
+            }
+            Rx::Replay => {
+                ctx.end_atomic();
+                ctx.compute(10_000);
+                return;
+            }
+        }
+        self.took.set(Some(ctx.now() - t0));
+        ctx.end_atomic();
+    }
+    fn handler(&self, _ctx: &mut UserCtx<'_>, env: &Envelope) {
+        assert_eq!(env.payload, RX_PAYLOAD);
+    }
+}
+
+/// Every receive path charges exactly its cost-model formula: the polled
+/// and extracted fast case (Table 4), the polled, extracted and replayed
+/// buffered case (Table 5), and a buffered extract paged in over the
+/// second network.
+#[test]
+fn every_receive_path_costs_its_formula() {
+    let c = CostModel::hard_atomicity();
+    let words = RX_PAYLOAD.len();
+    let per_word = c.rx_per_word * words as u64;
+    let extract = c.buf_extract_total(words);
+    let poll_handler = c.poll_dispatch + c.poll_null_handler + per_word;
+    let swap = MachineConfig::default().page_swap_cost();
+    // (path, receive, revoke, frames per node, receive-call cycles,
+    //  handler cycles)
+    #[rustfmt::skip]
+    let rows = [
+        ("poll fast", Rx::Poll, false, 256, Some(c.poll_check + poll_handler), Some(poll_handler)),
+        ("poll buffered", Rx::Poll, true, 256, Some(c.poll_check + extract), Some(extract)),
+        ("extract fast", Rx::Extract, false, 256, Some(c.poll_check + per_word), None),
+        ("extract buffered", Rx::Extract, true, 256, Some(c.poll_check + extract), None),
+        ("scheduler replay", Rx::Replay, true, 256, None, Some(extract)),
+        ("extract swapped", Rx::Extract, true, 0, Some(c.poll_check + extract + swap), None),
+    ];
+    for (path, rx, revoke, frames, took, handler) in rows {
+        let cfg = MachineConfig {
+            nodes: 2,
+            costs: CostModel {
+                frames_per_node: frames,
+                ..c
+            },
+            // No frames at all: every insert goes to backing store, and
+            // overflow control must not suspend the receiver for it.
+            overflow_advise: frames.min(16),
+            overflow_suspend: frames.min(4),
+            ..Default::default()
+        };
+        let program = Rc::new(RxCost {
+            rx,
+            revoke,
+            took: Cell::new(None),
+        });
+        let mut m = Machine::new(cfg);
+        m.add_job(JobSpec::new("rx", program.clone()));
+        let r = m.run();
+        let j = r.job("rx");
+        assert_eq!(j.delivered_fast, u64::from(!revoke), "{path}: fast count");
+        assert_eq!(
+            j.delivered_buffered,
+            u64::from(revoke),
+            "{path}: buffered count"
+        );
+        assert_eq!(j.swapped, u64::from(frames == 0), "{path}: swapped count");
+        assert_eq!(program.took.get(), took, "{path}: receive-call cycles");
+        match handler {
+            Some(cycles) => {
+                assert_eq!(j.handler_cycles.count(), 1, "{path}: one handler run");
+                assert_eq!(
+                    j.handler_cycles.mean(),
+                    cycles as f64,
+                    "{path}: handler cycles"
+                );
+            }
+            None => assert_eq!(j.handler_cycles.count(), 0, "{path}: no handler run"),
+        }
+    }
+}
+
 // ======================================================================
 // Polling
 // ======================================================================

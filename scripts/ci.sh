@@ -17,6 +17,13 @@ cargo test --offline -q -p fugu-apps --test crl_chaos_props
 # Chaos smoke: sweep fault injection over every app and assert the
 # delivery guarantees (exits nonzero on any violation).
 cargo run --offline --release -p fugu-bench --bin chaos -- --quick --jobs 4
+# Examples: `cargo test` builds them but never runs them, and their own
+# asserts (multiprogram's solution count, crl_dsm's handler checks) are
+# checks too. Each must exit 0.
+cargo run --offline --release -q --example quickstart >/dev/null
+cargo run --offline --release -q --example multiprogram -- 0.2 >/dev/null
+cargo run --offline --release -q --example crl_dsm >/dev/null
+cargo run --offline --release -q --example synth_overload >/dev/null
 # Differential property test: the slab event queue vs an ordered-map
 # reference model (same pop order / now / cancel semantics). Covered by the
 # workspace run; re-run by name for a standalone failure line.
